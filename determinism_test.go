@@ -14,11 +14,13 @@ import (
 
 	"mupod/internal/core"
 	"mupod/internal/exec"
+	"mupod/internal/groups"
 	"mupod/internal/kernels"
 	"mupod/internal/obs"
 	"mupod/internal/profile"
 	"mupod/internal/search"
 	"mupod/internal/testnet"
+	"mupod/internal/weights"
 )
 
 func TestProfileBitIdenticalAcrossWorkers(t *testing.T) {
@@ -43,6 +45,57 @@ func TestProfileBitIdenticalAcrossWorkers(t *testing.T) {
 				}
 			}
 			t.Fatalf("workers=%d: profile diverges", w)
+		}
+	}
+}
+
+// TestGroupsProfileBitIdenticalAcrossWorkers pins the shared sweep
+// engine on channel-group targets.
+func TestGroupsProfileBitIdenticalAcrossWorkers(t *testing.T) {
+	net, _, te := testnet.Trained()
+	assertBitIdenticalAcrossWorkers(t, func(w int) ([]groups.GroupProfile, error) {
+		p, err := groups.Run(net, te, groups.Config{Groups: 3, Profile: profile.Config{Images: 16, Points: 6, Seed: 7, Workers: w}})
+		if err != nil {
+			return nil, err
+		}
+		return p.Groups, nil
+	})
+}
+
+// TestWeightsProfileBitIdenticalAcrossWorkers pins the shared sweep
+// engine on weight targets, whose replays run on worker-private
+// perturbed weights.
+func TestWeightsProfileBitIdenticalAcrossWorkers(t *testing.T) {
+	net, _, te := testnet.Trained()
+	assertBitIdenticalAcrossWorkers(t, func(w int) ([]weights.LayerWeightProfile, error) {
+		p, err := weights.Run(net, te, weights.Config{Images: 16, Points: 6, Seed: 7, Workers: w})
+		if err != nil {
+			return nil, err
+		}
+		return p.Layers, nil
+	})
+}
+
+// assertBitIdenticalAcrossWorkers compares the per-source results of
+// run at workers 2, 4 and 8 with the sequential run.
+func assertBitIdenticalAcrossWorkers[T any](t *testing.T, run func(workers int) ([]T, error)) {
+	t.Helper()
+	ref, err := run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 4, 8} {
+		got, err := run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: %d sources, sequential %d", w, len(got), len(ref))
+		}
+		for k := range ref {
+			if !reflect.DeepEqual(ref[k], got[k]) {
+				t.Fatalf("workers=%d: source %d diverges:\nseq: %+v\npar: %+v", w, k, ref[k], got[k])
+			}
 		}
 	}
 }

@@ -85,31 +85,32 @@ func TestPlanOutSize(t *testing.T) {
 	}
 }
 
-// TestSessionReplayMatchesLegacy verifies the arena-based replay is
-// bit-identical to nn.ReplayFrom for every analyzable node, on both
-// the branchy DAG and the shared trained fixture.
-func TestSessionReplayMatchesLegacy(t *testing.T) {
-	nets := map[string]struct {
-		net *nn.Network
-		x   *tensor.Tensor
-	}{}
-	bn := branchy()
+// replayFixture is one network and batch the replay tests table.
+type replayFixture struct {
+	net *nn.Network
+	x   *tensor.Tensor
+}
+
+// replayFixtures returns the branchy DAG and the shared trained
+// fixture, each with an input batch.
+func replayFixtures() map[string]replayFixture {
 	bx := tensor.New(3, 2, 8, 8)
 	r := rng.New(11)
 	for i := range bx.Data {
 		bx.Data[i] = r.Uniform(-1, 1)
 	}
-	nets["branchy"] = struct {
-		net *nn.Network
-		x   *tensor.Tensor
-	}{bn, bx}
 	tn, _, te := testnet.Trained()
-	nets["testnet"] = struct {
-		net *nn.Network
-		x   *tensor.Tensor
-	}{tn, te.Batch(0, 6)}
+	return map[string]replayFixture{
+		"branchy": {branchy(), bx},
+		"testnet": {tn, te.Batch(0, 6)},
+	}
+}
 
-	for name, tc := range nets {
+// TestSessionReplayMatchesLegacy verifies the arena-based replay is
+// bit-identical to nn.ReplayFrom for every analyzable node, on both
+// the branchy DAG and the shared trained fixture.
+func TestSessionReplayMatchesLegacy(t *testing.T) {
+	for name, tc := range replayFixtures() {
 		t.Run(name, func(t *testing.T) {
 			acts := tc.net.ForwardAll(tc.x)
 			sess := exec.NewSession(exec.NewPlan(tc.net))
@@ -142,6 +143,67 @@ func TestSessionReplayMatchesLegacy(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSessionReplayLayerMatchesOverwrittenNet verifies the layer
+// override: replaying node K with a shallow copy of its layer holding
+// perturbed weights (with and without input noise) is bit-identical to
+// nn.ReplayFrom on the network whose weights were overwritten in place,
+// and leaves the shared network's weights untouched.
+func TestSessionReplayLayerMatchesOverwrittenNet(t *testing.T) {
+	for name, tc := range replayFixtures() {
+		t.Run(name, func(t *testing.T) {
+			acts := tc.net.ForwardAll(tc.x)
+			sess := exec.NewSession(exec.NewPlan(tc.net))
+			for _, id := range tc.net.AnalyzableNodes() {
+				w, with := overridable(t, tc.net.Nodes[id].Layer)
+				saved := append([]float64(nil), w.Data...)
+				perturbed := tensor.New(w.Shape...)
+				r := rng.New(uint64(id))
+				for i, v := range saved {
+					perturbed.Data[i] = v + r.Uniform(-0.05, 0.05)
+				}
+				for trial, inj := range []func() nn.Injector{
+					func() nn.Injector { return nil },
+					func() nn.Injector { return profile.UniformInjector(rng.New(uint64(id)), 0.05, false) },
+				} {
+					got := append([]float64(nil), sess.ReplayLayer(acts, id, with(perturbed), inj()).Data...)
+					for i := range saved {
+						if w.Data[i] != saved[i] {
+							t.Fatalf("node %d: ReplayLayer wrote the shared weights", id)
+						}
+					}
+					legacy := inj()
+					if legacy == nil {
+						legacy = func(*tensor.Tensor) {}
+					}
+					copy(w.Data, perturbed.Data)
+					want := tc.net.ReplayFrom(acts, id, legacy)
+					copy(w.Data, saved)
+					for i := range want.Data {
+						if got[i] != want.Data[i] {
+							t.Fatalf("node %d trial %d: logit[%d] = %v, overwritten net %v", id, trial, i, got[i], want.Data[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// overridable returns a dot-product layer's weights and a constructor
+// of its shallow copy holding other weights.
+func overridable(t *testing.T, l nn.Layer) (*tensor.Tensor, func(*tensor.Tensor) nn.Layer) {
+	switch c := l.(type) {
+	case *nn.Conv2D:
+		return c.W, func(w *tensor.Tensor) nn.Layer { cp := *c; cp.W = w; return &cp }
+	case *nn.DepthwiseConv2D:
+		return c.W, func(w *tensor.Tensor) nn.Layer { cp := *c; cp.W = w; return &cp }
+	case *nn.Dense:
+		return c.W, func(w *tensor.Tensor) nn.Layer { cp := *c; cp.W = w; return &cp }
+	}
+	t.Fatalf("no weights on %s layer", l.Kind())
+	return nil, nil
 }
 
 // TestSessionForwardInjectMatchesLegacy verifies the arena forward

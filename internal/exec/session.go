@@ -117,24 +117,24 @@ func (s *Session) gather(nd *nn.Node) []*tensor.Tensor {
 	return ins
 }
 
-// step executes one node into its pooled buffer on the session's
-// kernel backend (falling back to plain ForwardInto, then to the
-// layer's allocating Forward, for layers outside the kernel layer) and
-// records the result in cur.
-func (s *Session) step(nd *nn.Node, ins []*tensor.Tensor, batch int) {
-	if f, ok := nd.Layer.(nn.BackendForwarder); ok {
-		out := s.buf(nd.ID, batch)
+// step executes node id with layer l into its pooled buffer on the
+// session's kernel backend (falling back to plain ForwardInto, then to
+// the layer's allocating Forward, for layers outside the kernel layer)
+// and records the result in cur.
+func (s *Session) step(l nn.Layer, id int, ins []*tensor.Tensor, batch int) {
+	if f, ok := l.(nn.BackendForwarder); ok {
+		out := s.buf(id, batch)
 		s.scratch = f.ForwardIntoOn(s.be, ins, out, s.scratch)
-		s.cur[nd.ID] = out
+		s.cur[id] = out
 		return
 	}
-	if f, ok := nd.Layer.(nn.IntoForwarder); ok {
-		out := s.buf(nd.ID, batch)
+	if f, ok := l.(nn.IntoForwarder); ok {
+		out := s.buf(id, batch)
 		s.scratch = f.ForwardInto(ins, out, s.scratch)
-		s.cur[nd.ID] = out
+		s.cur[id] = out
 		return
 	}
-	s.cur[nd.ID] = nd.Layer.Forward(ins)
+	s.cur[id] = l.Forward(ins)
 }
 
 // Replay is the plan-based equivalent of nn.ReplayFrom: re-execute the
@@ -143,6 +143,15 @@ func (s *Session) step(nd *nn.Node, ins []*tensor.Tensor, batch int) {
 // precomputed dirty-set instead of scanning every successor. The
 // returned logits are owned by the Session.
 func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, inject nn.Injector) *tensor.Tensor {
+	return s.ReplayLayer(acts, nodeID, nil, inject)
+}
+
+// ReplayLayer is Replay with node nodeID computed by layer in place of
+// its own — weight profiling passes a shallow copy of the node's layer
+// holding worker-private perturbed weights, so the shared network is
+// only read. A nil layer keeps the node's own; a nil inject leaves the
+// node's input exact.
+func (s *Session) ReplayLayer(acts []*tensor.Tensor, nodeID int, layer nn.Layer, inject nn.Injector) *tensor.Tensor {
 	net := s.plan.net
 	if nodeID <= 0 || nodeID >= len(net.Nodes) {
 		panic(fmt.Sprintf("exec: Replay node %d out of range", nodeID))
@@ -152,14 +161,19 @@ func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, inject nn.Injector) 
 
 	nd := net.Nodes[nodeID]
 	ins := s.gather(nd)
-	cp := s.injectCopy(nodeID, ins[0])
-	inject(cp)
-	ins[0] = cp
-	s.step(nd, ins, batch)
+	if inject != nil {
+		cp := s.injectCopy(nodeID, ins[0])
+		inject(cp)
+		ins[0] = cp
+	}
+	if layer == nil {
+		layer = nd.Layer
+	}
+	s.step(layer, nodeID, ins, batch)
 
 	for _, id := range s.plan.downstream[nodeID] {
 		node := net.Nodes[id]
-		s.step(node, s.gather(node), batch)
+		s.step(node.Layer, id, s.gather(node), batch)
 	}
 	s.flushStats()
 	return s.cur[len(net.Nodes)-1]
@@ -195,7 +209,7 @@ func (s *Session) ForwardInject(x *tensor.Tensor, inject map[int]nn.Injector) *t
 			fn(cp)
 			ins[0] = cp
 		}
-		s.step(nd, ins, batch)
+		s.step(nd.Layer, nd.ID, ins, batch)
 	}
 	s.flushStats()
 	return s.cur[len(net.Nodes)-1]

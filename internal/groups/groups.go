@@ -27,7 +27,6 @@ import (
 	"mupod/internal/profile"
 	"mupod/internal/rng"
 	"mupod/internal/search"
-	"mupod/internal/stats"
 	"mupod/internal/tensor"
 )
 
@@ -44,23 +43,15 @@ func (c Config) withDefaults() Config {
 	if c.Groups == 0 {
 		c.Groups = 2
 	}
-	p := c.Profile
-	if p.Images == 0 {
-		p.Images = 24
+	// Groups profile fewer images and points than whole layers; the
+	// rest of the sweep defaults are the activation profiler's.
+	if c.Profile.Images == 0 {
+		c.Profile.Images = 24
 	}
-	if p.Points == 0 {
-		p.Points = 10
+	if c.Profile.Points == 0 {
+		c.Profile.Points = 10
 	}
-	if p.DeltaLoFrac == 0 {
-		p.DeltaLoFrac = 1.0 / 512
-	}
-	if p.DeltaHiFrac == 0 {
-		p.DeltaHiFrac = 1.0 / 16
-	}
-	if p.TargetSamples == 0 {
-		p.TargetSamples = 8192
-	}
-	c.Profile = p
+	c.Profile = c.Profile.Normalized()
 	return c
 }
 
@@ -189,176 +180,68 @@ func groupMaxAbs(t *tensor.Tensor, lo, hi int) float64 {
 // groupRepeats pools a few realizations per point; groups are small.
 const groupRepeats = 4
 
-// groupSweep is the precomputed measurement schedule of one group.
-type groupSweep struct {
-	gp     GroupProfile
-	deltas []float64
-	rngs   []*rng.RNG // one pre-split stream per (point, repeat), point-major
-}
-
 // Run profiles every channel group of every analyzable layer.
 func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
 	return RunContext(context.Background(), net, ds, cfg)
 }
 
-// RunContext is Run with cancellation. Like the activation profiler,
-// the sweep is embarrassingly parallel across (group, point, repeat)
-// replays and runs on cfg.Profile.Workers goroutines; noise streams
-// are pre-split per replay in sequential consumption order and diffs
-// are pooled in that same fixed order, so the profile is bit-identical
-// at every worker count.
+// RunContext is Run with cancellation. Every group is one target of
+// the activation profiler's profile.Sweep, run on cfg.Profile.Workers
+// goroutines, so the profile is bit-identical at every worker count.
 func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
 	cfg = cfg.withDefaults()
 	pc := cfg.Profile
-	if ds.Len() < pc.Images {
-		return nil, fmt.Errorf("groups: dataset has %d images, config needs %d", ds.Len(), pc.Images)
-	}
-	if err := ctx.Err(); err != nil {
+	if err := pc.Check(ctx, ds); err != nil {
 		return nil, fmt.Errorf("groups: %w", err)
 	}
-	if err := pc.Kernel.Validate(); err != nil {
-		return nil, fmt.Errorf("groups: %w", err)
-	}
-	batch := ds.Batch(0, pc.Images)
-	acts := net.ForwardAllOn(kernels.MustNew(pc.Kernel), batch)
-	exact := acts[len(acts)-1]
+	acts := net.ForwardAllOn(kernels.MustNew(pc.Kernel), ds.Batch(0, pc.Images))
 
 	// Sequential prep: group bounds, metadata, Δ grid, pre-split RNGs.
-	var sweeps []groupSweep
+	p := &Profile{NetName: net.Name}
+	var targets []profile.Target
 	for _, nodeID := range net.AnalyzableNodes() {
 		nd := net.Nodes[nodeID]
 		input := acts[nd.Inputs[0]]
 		channels := input.Shape[1]
-		g := cfg.Groups
-		if g > channels {
-			g = channels
-		}
+		g := min(cfg.Groups, channels)
 		perImage := net.InputCount(nodeID)
 		for gi := 0; gi < g; gi++ {
 			lo := gi * channels / g
 			hi := (gi + 1) * channels / g
-			var sw groupSweep
-			if err := prepGroup(&sw, net, acts, nodeID, gi, lo, hi, pc); err != nil {
-				return nil, fmt.Errorf("groups: %s#%d: %w", nd.Name, gi, err)
+			maxAbs := groupMaxAbs(input, lo, hi)
+			if maxAbs == 0 {
+				return nil, fmt.Errorf("groups: %s#%d: group input is all zeros", nd.Name, gi)
 			}
-			sw.gp.Inputs = perImage * (hi - lo) / channels
-			sweeps = append(sweeps, sw)
+			p.Groups = append(p.Groups, GroupProfile{
+				NodeID: nodeID,
+				Name:   fmt.Sprintf("%s#%d", nd.Name, gi),
+				Group:  gi,
+				LoChan: lo, HiChan: hi,
+				MaxAbs:  maxAbs,
+				IntBits: fixedpoint.IntBitsForRange(maxAbs),
+				Inputs:  perImage * (hi - lo) / channels,
+			})
+			targets = append(targets, pc.Target(nodeID, maxAbs, groupRepeats,
+				pc.Seed^uint64(nodeID)*0x9e3779b97f4a7c15^uint64(gi)<<48,
+				func(_ int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector) {
+					return nil, groupInjector(r, delta, lo, hi)
+				}))
 		}
 	}
 
-	// Fan the replays out; item i's diff vector lands in slot i of one
-	// shared block, indexed deterministically.
-	type workItem struct{ group, pt, rep int }
-	var items []workItem
-	for k := range sweeps {
-		for pt := 0; pt < pc.Points; pt++ {
-			for rep := 0; rep < groupRepeats; rep++ {
-				items = append(items, workItem{k, pt, rep})
-			}
-		}
-	}
-	stride := exact.Len()
-	diffs := make([]float64, len(items)*stride)
-	ev := exec.NewEvaluator(pc.Workers)
-	pol := pc.Kernel
-	if pol.IntraWorkers == 0 {
-		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
-	}
-	plan := exec.NewPlan(net)
-	sessions := make([]*exec.Session, ev.Workers())
-	err := ev.Map(ctx, len(items), func(ctx context.Context, worker, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sess := sessions[worker]
-		if sess == nil {
-			sess = exec.NewSessionPolicy(plan, pol)
-			sessions[worker] = sess
-		}
-		it := items[i]
-		sw := &sweeps[it.group]
-		r := sw.rngs[it.pt*groupRepeats+it.rep]
-		out := sess.Replay(acts, sw.gp.NodeID, groupInjector(r, sw.deltas[it.pt], sw.gp.LoChan, sw.gp.HiChan))
-		dst := diffs[i*stride : (i+1)*stride]
-		for j := range dst {
-			dst[j] = out.Data[j] - exact.Data[j]
-		}
-		return nil
-	})
+	sigmas, err := profile.Sweep(ctx, exec.NewEvaluator(pc.Workers), net, acts, pc.Kernel, targets)
 	if err != nil {
 		return nil, fmt.Errorf("groups: %w", err)
 	}
-
-	// Reduce in (group, point, repeat) order — the sequential pooling
-	// order — then fit Eq. 5 per group.
-	p := &Profile{NetName: net.Name}
-	idx := 0
-	for k := range sweeps {
-		sw := &sweeps[k]
-		var deltas, sigmas []float64
-		pooled := make([]float64, 0, groupRepeats*stride)
-		for pt := 0; pt < pc.Points; pt++ {
-			pooled = pooled[:0]
-			for rep := 0; rep < groupRepeats; rep++ {
-				pooled = append(pooled, diffs[idx*stride:(idx+1)*stride]...)
-				idx++
-			}
-			_, sd := stats.MeanStd(pooled)
-			deltas = append(deltas, sw.deltas[pt])
-			sigmas = append(sigmas, sd)
+	for k := range p.Groups {
+		gp := &p.Groups[k]
+		fit, err := profile.Fit(targets[k].Deltas, sigmas[k])
+		if err != nil {
+			return nil, fmt.Errorf("groups: %s: %w", gp.Name, err)
 		}
-		if err := fitGroup(&sw.gp, deltas, sigmas); err != nil {
-			return nil, fmt.Errorf("groups: %s: %w", sw.gp.Name, err)
-		}
-		p.Groups = append(p.Groups, sw.gp)
+		gp.Lambda, gp.Theta, gp.R2 = fit.Slope, fit.Intercept, fit.R2
 	}
 	return p, nil
-}
-
-func prepGroup(sw *groupSweep, net *nn.Network, acts []*tensor.Tensor, nodeID, gi, lo, hi int, pc profile.Config) error {
-	nd := net.Nodes[nodeID]
-	input := acts[nd.Inputs[0]]
-	maxAbs := groupMaxAbs(input, lo, hi)
-	sw.gp = GroupProfile{
-		NodeID: nodeID,
-		Name:   fmt.Sprintf("%s#%d", nd.Name, gi),
-		Group:  gi,
-		LoChan: lo, HiChan: hi,
-		MaxAbs:  maxAbs,
-		IntBits: fixedpoint.IntBitsForRange(maxAbs),
-	}
-	if maxAbs == 0 {
-		return fmt.Errorf("group input is all zeros")
-	}
-	base := rng.New(pc.Seed ^ uint64(nodeID)*0x9e3779b97f4a7c15 ^ uint64(gi)<<48)
-	loD, hiD := pc.DeltaLoFrac*maxAbs, pc.DeltaHiFrac*maxAbs
-	for pt := 0; pt < pc.Points; pt++ {
-		frac := 0.0
-		if pc.Points > 1 {
-			frac = float64(pt) / float64(pc.Points-1)
-		}
-		sw.deltas = append(sw.deltas, loD*math.Pow(hiD/loD, frac))
-		for rep := 0; rep < groupRepeats; rep++ {
-			sw.rngs = append(sw.rngs, base.Split())
-		}
-	}
-	return nil
-}
-
-func fitGroup(gp *GroupProfile, deltas, sigmas []float64) error {
-	w := make([]float64, len(deltas))
-	for i, d := range deltas {
-		w[i] = 1 / (d * d)
-	}
-	fit, err := stats.FitLineWeighted(sigmas, deltas, w)
-	if err != nil {
-		return err
-	}
-	gp.Lambda, gp.Theta, gp.R2 = fit.Slope, fit.Intercept, fit.R2
-	if gp.Lambda <= 0 {
-		return fmt.Errorf("non-positive λ=%.4g (R²=%.3f)", gp.Lambda, gp.R2)
-	}
-	return nil
 }
 
 // GroupAlloc is one group's format assignment.

@@ -208,6 +208,18 @@ func QuantizeInjector(f fixedpoint.Format) nn.Injector {
 	}
 }
 
+// Check reports whether c can profile on ds under ctx: enough images,
+// a live context and a valid kernel policy.
+func (c Config) Check(ctx context.Context, ds *dataset.Dataset) error {
+	if ds.Len() < c.Images {
+		return fmt.Errorf("dataset has %d images, config needs %d", ds.Len(), c.Images)
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return c.Kernel.Validate()
+}
+
 // Run profiles every analyzable layer of net over the first cfg.Images
 // images of ds.
 func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
@@ -216,149 +228,79 @@ func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
 
 // RunContext is Run with cancellation: workers check ctx between
 // replays, so a long profiling run aborts promptly when the caller
-// cancels (the serving daemon relies on this).
-//
-// The Δ-sweep is embarrassingly parallel across (layer, point, repeat)
-// work items and runs on cfg.Workers goroutines; noise streams are
-// pre-split per item in the order a sequential sweep would consume
-// them and diffs are pooled in that same fixed order, so the profile
-// is bit-identical at every worker count.
+// cancels (the serving daemon relies on this). The Δ-sweep runs on
+// cfg.Workers goroutines through Sweep, bit-identical at every worker
+// count.
 func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
 	cfg = cfg.withDefaults()
-	if ds.Len() < cfg.Images {
-		return nil, fmt.Errorf("profile: dataset has %d images, config needs %d", ds.Len(), cfg.Images)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	if err := cfg.Kernel.Validate(); err != nil {
+	if err := cfg.Check(ctx, ds); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	ctx, psp := obs.Start(ctx, "profile",
 		obs.KV("net", net.Name), obs.KV("images", cfg.Images), obs.KV("workers", cfg.Workers))
 	defer psp.End()
-	batch := ds.Batch(0, cfg.Images)
 
 	// Step 1 of Sec. V-A: record the exact output Y_Ł (and every
 	// intermediate activation, enabling suffix-only replay) — on the
 	// same kernel backend the replay sessions will use, so cached
 	// activations and replays share one accumulation order.
-	pol := cfg.Kernel
 	_, fsp := obs.Start(ctx, "profile.forward", obs.KV("batch", cfg.Images))
-	acts := net.ForwardAllOn(kernels.MustNew(pol), batch)
+	acts := net.ForwardAllOn(kernels.MustNew(cfg.Kernel), ds.Batch(0, cfg.Images))
 	fsp.End()
-	exact := acts[len(acts)-1]
 
 	// Per-layer preparation is cheap and sequential: metadata, the
-	// adaptive repeat count, the Δ grid, and one pre-split RNG per
-	// (point, repeat) replay.
-	nodes := net.AnalyzableNodes()
-	preps := make([]layerSweep, len(nodes))
-	for k, nodeID := range nodes {
-		if err := prepLayer(&preps[k], net, acts, nodeID, cfg); err != nil {
+	// adaptive repeat count, the Δ grid and the noise streams.
+	p := &Profile{NetName: net.Name, Config: cfg}
+	var targets []Target
+	items := 0
+	for _, nodeID := range net.AnalyzableNodes() {
+		lp, t, err := prepLayer(net, acts, nodeID, cfg)
+		if err != nil {
 			return nil, fmt.Errorf("profile: layer %s: %w", net.Nodes[nodeID].Name, err)
 		}
-	}
-
-	// Flatten the sweep into one deterministic work list and fan it
-	// out; item i's diff vector lands in slot i of one shared block.
-	type workItem struct{ layer, pt, rep int }
-	var items []workItem
-	for k := range preps {
-		for pt := 0; pt < cfg.Points; pt++ {
-			for rep := 0; rep < preps[k].repeats; rep++ {
-				items = append(items, workItem{k, pt, rep})
-			}
-		}
+		p.Layers = append(p.Layers, lp)
+		targets = append(targets, t)
+		items += len(t.RNGs)
 	}
 	// Not wrapped with a "profile:" prefix: the injected error already
 	// names its point, and the serve layer prefixes stage errors itself.
 	if err := fault.Hit(ctx, "profile.sweep"); err != nil {
 		return nil, err
 	}
-	stride := exact.Len()
-	diffs := make([]float64, len(items)*stride)
-	ev := exec.NewEvaluator(cfg.Workers)
-	if pol.IntraWorkers == 0 {
-		// Inter-item replay parallelism has priority; intra-op tiling
-		// spends whatever cores the sweep pool leaves idle.
-		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
-	}
-	plan := exec.NewPlan(net)
-	sessions := make([]*exec.Session, ev.Workers())
 	sctx, ssp := obs.Start(ctx, "profile.sweep",
-		obs.KV("layers", len(nodes)), obs.KV("items", len(items)))
-	err := ev.Map(sctx, len(items), func(ctx context.Context, worker, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sess := sessions[worker]
-		if sess == nil {
-			sess = exec.NewSessionPolicy(plan, pol)
-			sess.Trace(ctx)
-			sessions[worker] = sess
-		}
-		it := items[i]
-		sw := &preps[it.layer]
-		r := sw.rngs[it.pt*sw.repeats+it.rep]
-		out := sess.Replay(acts, sw.lp.NodeID, UniformInjector(r, sw.deltas[it.pt], cfg.IncludeZeros))
-		dst := diffs[i*stride : (i+1)*stride]
-		for j := range dst {
-			dst[j] = out.Data[j] - exact.Data[j]
-		}
-		return nil
-	})
+		obs.KV("layers", len(targets)), obs.KV("items", items))
+	sigmas, err := Sweep(sctx, exec.NewEvaluator(cfg.Workers), net, acts, cfg.Kernel, targets)
 	ssp.End()
 	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 
-	// Reduce in (layer, point, repeat) order — the exact pooling order
-	// of a sequential sweep — then fit Eq. 5 per layer.
-	p := &Profile{NetName: net.Name, Config: cfg}
-	idx := 0
-	for k := range preps {
-		sw := &preps[k]
+	for k := range p.Layers {
+		lp := &p.Layers[k]
 		_, lsp := obs.Start(ctx, "profile.layer",
-			obs.KV("layer", sw.lp.Name), obs.KV("repeats", sw.repeats))
-		pooled := make([]float64, 0, sw.repeats*stride)
-		for pt := 0; pt < cfg.Points; pt++ {
-			pooled = pooled[:0]
-			for rep := 0; rep < sw.repeats; rep++ {
-				pooled = append(pooled, diffs[idx*stride:(idx+1)*stride]...)
-				idx++
-			}
-			_, sd := stats.MeanStd(pooled)
-			sw.lp.Deltas = append(sw.lp.Deltas, sw.deltas[pt])
-			sw.lp.Sigmas = append(sw.lp.Sigmas, sd)
-		}
-		if err := fitLayer(&sw.lp); err != nil {
+			obs.KV("layer", lp.Name), obs.KV("repeats", targets[k].Repeats))
+		lp.Deltas, lp.Sigmas = targets[k].Deltas, sigmas[k]
+		fit, err := Fit(lp.Deltas, lp.Sigmas)
+		if err != nil {
 			lsp.End()
-			return nil, fmt.Errorf("profile: layer %s: %w", sw.lp.Name, err)
+			return nil, fmt.Errorf("profile: layer %s: %w", lp.Name, err)
 		}
-		lsp.SetAttr("lambda", sw.lp.Lambda)
-		lsp.SetAttr("theta", sw.lp.Theta)
-		lsp.SetAttr("r2", sw.lp.R2)
+		lp.Lambda, lp.Theta, lp.R2 = fit.Slope, fit.Intercept, fit.R2
+		lp.MaxRelErr = stats.Max(fit.RelativeErrors(lp.Sigmas, lp.Deltas))
+		lsp.SetAttr("lambda", lp.Lambda)
+		lsp.SetAttr("theta", lp.Theta)
+		lsp.SetAttr("r2", lp.R2)
 		lsp.End()
-		p.Layers = append(p.Layers, sw.lp)
 	}
 	p.Reindex()
 	return p, nil
 }
 
-// layerSweep is the precomputed measurement schedule of one layer.
-type layerSweep struct {
-	lp      LayerProfile
-	repeats int
-	deltas  []float64  // one Δ per measurement point
-	rngs    []*rng.RNG // one pre-split stream per (point, repeat), point-major
-}
-
-func prepLayer(sw *layerSweep, net *nn.Network, acts []*tensor.Tensor, nodeID int, cfg Config) error {
+func prepLayer(net *nn.Network, acts []*tensor.Tensor, nodeID int, cfg Config) (LayerProfile, Target, error) {
 	nd := net.Nodes[nodeID]
 	input := acts[nd.Inputs[0]]
 	maxAbs := input.MaxAbs()
-	sw.lp = LayerProfile{
+	lp := LayerProfile{
 		NodeID:  nodeID,
 		Name:    nd.Name,
 		Kind:    nd.Layer.Kind(),
@@ -368,7 +310,7 @@ func prepLayer(sw *layerSweep, net *nn.Network, acts []*tensor.Tensor, nodeID in
 		MACs:    net.MACCount(nodeID),
 	}
 	if maxAbs == 0 {
-		return fmt.Errorf("input is all zeros; network is degenerate here")
+		return lp, Target{}, fmt.Errorf("input is all zeros; network is degenerate here")
 	}
 
 	// Adaptive repeat count: pool replays until enough independent
@@ -380,52 +322,135 @@ func prepLayer(sw *layerSweep, net *nn.Network, acts []*tensor.Tensor, nodeID in
 		}
 	}
 	if nonzero == 0 {
-		return fmt.Errorf("input has no non-zero elements")
+		return lp, Target{}, fmt.Errorf("input has no non-zero elements")
 	}
-	sw.repeats = (cfg.TargetSamples + nonzero - 1) / nonzero
-	if sw.repeats < 1 {
-		sw.repeats = 1
-	}
-	if sw.repeats > 12 {
-		sw.repeats = 12
-	}
-
-	// Log-spaced Δ grid, and one noise stream per replay. Streams
-	// derive sequentially from one per-layer generator in (point,
-	// repeat) order so every replay draws independent deviates and the
-	// assignment matches what a sequential sweep would consume.
-	base := rng.New(cfg.Seed ^ uint64(nodeID)*0x9e3779b97f4a7c15)
-	lo, hi := cfg.DeltaLoFrac*maxAbs, cfg.DeltaHiFrac*maxAbs
-	for pt := 0; pt < cfg.Points; pt++ {
-		frac := 0.0
-		if cfg.Points > 1 {
-			frac = float64(pt) / float64(cfg.Points-1)
-		}
-		sw.deltas = append(sw.deltas, lo*math.Pow(hi/lo, frac))
-		for rep := 0; rep < sw.repeats; rep++ {
-			sw.rngs = append(sw.rngs, base.Split())
-		}
-	}
-	return nil
+	repeats := min(max((cfg.TargetSamples+nonzero-1)/nonzero, 1), 12)
+	t := cfg.Target(nodeID, maxAbs, repeats, cfg.Seed^uint64(nodeID)*0x9e3779b97f4a7c15,
+		func(_ int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector) {
+			return nil, UniformInjector(r, delta, cfg.IncludeZeros)
+		})
+	return lp, t, nil
 }
 
-// fitLayer fits Eq. 5 to a layer's measured (σ, Δ) points with
+// Target is one injection site of a Sweep: a layer's input (this
+// package), a channel slice of it (internal/groups) or a layer's
+// weights (internal/weights). Its owner derives the schedule, so each
+// kind keeps its own max|x|, repeat rule and seed derivation.
+type Target struct {
+	NodeID  int
+	Deltas  []float64  // one Δ per measurement point
+	Repeats int        // replays pooled per point
+	RNGs    []*rng.RNG // one noise stream per (point, repeat), point-major
+	// Perturb builds one replay's perturbation at Δ = delta from its
+	// noise stream: a stand-in for NodeID's layer, an injector for its
+	// input, or both (see exec.Session.ReplayLayer). worker, in
+	// [0, Workers()) of the sweep's evaluator, indexes the caller's
+	// per-worker scratch.
+	Perturb func(worker int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector)
+}
+
+// Target schedules one injection site: c.Points Δ values log-spaced
+// over [DeltaLoFrac, DeltaHiFrac]·maxAbs, and repeats noise streams per
+// point, split from rng.New(seed) in (point, repeat) order — the order
+// a sequential sweep would consume them.
+func (c Config) Target(nodeID int, maxAbs float64, repeats int, seed uint64,
+	perturb func(worker int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector)) Target {
+	t := Target{NodeID: nodeID, Repeats: repeats, Perturb: perturb}
+	base := rng.New(seed)
+	lo, hi := c.DeltaLoFrac*maxAbs, c.DeltaHiFrac*maxAbs
+	for pt := 0; pt < c.Points; pt++ {
+		frac := 0.0
+		if c.Points > 1 {
+			frac = float64(pt) / float64(c.Points-1)
+		}
+		t.Deltas = append(t.Deltas, lo*math.Pow(hi/lo, frac))
+		for rep := 0; rep < repeats; rep++ {
+			t.RNGs = append(t.RNGs, base.Split())
+		}
+	}
+	return t
+}
+
+// Sweep is the one injection-sweep engine (Sec. V-A) behind the
+// activation, channel-group and weight profilers. It flattens every
+// (target, point, repeat) replay from the exact activations acts into
+// one work list, fans it out on ev with one exec.Session per worker,
+// and pools each point's output error over its repeats, in that fixed
+// order, into sigmas[target][point] = σ_{Y→Ł}. Noise streams are
+// pre-split per item, so the result is bit-identical at every worker
+// count.
+func Sweep(ctx context.Context, ev *exec.Evaluator, net *nn.Network, acts []*tensor.Tensor,
+	pol kernels.Policy, targets []Target) ([][]float64, error) {
+	type workItem struct{ target, pt, rep int }
+	var items []workItem
+	for k := range targets {
+		for pt := range targets[k].Deltas {
+			for rep := 0; rep < targets[k].Repeats; rep++ {
+				items = append(items, workItem{k, pt, rep})
+			}
+		}
+	}
+	// Item i's diff vector lands in slot i of one shared block, so each
+	// point's repeats sit contiguously in pooling order.
+	exact := acts[len(acts)-1]
+	stride := exact.Len()
+	diffs := make([]float64, len(items)*stride)
+	if pol.IntraWorkers == 0 {
+		// Inter-item replay parallelism has priority; intra-op tiling
+		// spends whatever cores the sweep pool leaves idle.
+		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
+	}
+	plan := exec.NewPlan(net)
+	sessions := make([]*exec.Session, ev.Workers())
+	err := ev.Map(ctx, len(items), func(ctx context.Context, worker, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sess := sessions[worker]
+		if sess == nil {
+			sess = exec.NewSessionPolicy(plan, pol)
+			sess.Trace(ctx)
+			sessions[worker] = sess
+		}
+		it := items[i]
+		t := &targets[it.target]
+		layer, inject := t.Perturb(worker, t.RNGs[it.pt*t.Repeats+it.rep], t.Deltas[it.pt])
+		out := sess.ReplayLayer(acts, t.NodeID, layer, inject)
+		dst := diffs[i*stride : (i+1)*stride]
+		for j := range dst {
+			dst[j] = out.Data[j] - exact.Data[j]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	sigmas := make([][]float64, len(targets))
+	off := 0
+	for k := range targets {
+		n := targets[k].Repeats * stride
+		for range targets[k].Deltas {
+			_, sd := stats.MeanStd(diffs[off : off+n])
+			sigmas[k] = append(sigmas[k], sd)
+			off += n
+		}
+	}
+	return sigmas, nil
+}
+
+// Fit fits Eq. 5 to a target's measured (σ, Δ) points with
 // relative-error weighting (w = 1/Δ²), which balances the log-spaced
 // sweep so the fit is accurate across the whole operating range, not
-// just at the largest Δ.
-func fitLayer(lp *LayerProfile) error {
-	w := make([]float64, len(lp.Deltas))
-	for i, d := range lp.Deltas {
+// just at the largest Δ. A non-positive λ is an error.
+func Fit(deltas, sigmas []float64) (stats.LinearFit, error) {
+	w := make([]float64, len(deltas))
+	for i, d := range deltas {
 		w[i] = 1 / (d * d)
 	}
-	fit, err := stats.FitLineWeighted(lp.Sigmas, lp.Deltas, w)
-	if err != nil {
-		return err
+	fit, err := stats.FitLineWeighted(sigmas, deltas, w)
+	if err == nil && fit.Slope <= 0 {
+		err = fmt.Errorf("non-positive λ=%.4g (R²=%.3f): injection did not reach the output", fit.Slope, fit.R2)
 	}
-	lp.Lambda, lp.Theta, lp.R2 = fit.Slope, fit.Intercept, fit.R2
-	lp.MaxRelErr = stats.Max(fit.RelativeErrors(lp.Sigmas, lp.Deltas))
-	if lp.Lambda <= 0 {
-		return fmt.Errorf("non-positive λ=%.4g (R²=%.3f): injection did not reach the output", lp.Lambda, lp.R2)
-	}
-	return nil
+	return fit, err
 }

@@ -64,18 +64,19 @@ type Profile struct {
 // NumLayers returns Ł.
 func (p *Profile) NumLayers() int { return len(p.Layers) }
 
-// weightTensor returns the weight tensor of a dot-product layer (nil
+// weightTensor returns the weight tensor of a dot-product layer and a
+// constructor of the layer's shallow copy holding other weights (nil
 // for layers without one).
-func weightTensor(l nn.Layer) *tensor.Tensor {
+func weightTensor(l nn.Layer) (*tensor.Tensor, func(w *tensor.Tensor) nn.Layer) {
 	switch t := l.(type) {
 	case *nn.Conv2D:
-		return t.W
+		return t.W, func(w *tensor.Tensor) nn.Layer { c := *t; c.W = w; return &c }
 	case *nn.DepthwiseConv2D:
-		return t.W
+		return t.W, func(w *tensor.Tensor) nn.Layer { c := *t; c.W = w; return &c }
 	case *nn.Dense:
-		return t.W
+		return t.W, func(w *tensor.Tensor) nn.Layer { c := *t; c.W = w; return &c }
 	default:
-		return nil
+		return nil, nil
 	}
 }
 
@@ -83,134 +84,81 @@ func weightTensor(l nn.Layer) *tensor.Tensor {
 type Config = profile.Config
 
 // Run profiles the weight-noise propagation of every analyzable layer.
-// The network's weights are perturbed in place during measurement and
-// restored before returning.
+// The network is only read: each replay perturbs a private copy of one
+// layer's weights.
 func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
 	return RunContext(context.Background(), net, ds, cfg)
 }
 
-// RunContext is Run with cancellation. Unlike the activation profiler,
-// the replay sweep stays SEQUENTIAL regardless of cfg.Workers: each
-// measurement mutates the network's weight tensors in place, so
-// concurrent replays against the shared network would race. The sweep
-// still runs through one exec.Session, so the replay hot path reuses
-// pooled activation buffers instead of allocating per call.
+// RunContext is Run with cancellation. Every layer's weight tensor is
+// one target of profile.Sweep, run on cfg.Workers goroutines (0 =
+// GOMAXPROCS): a replay computes layer K with a shallow copy of it
+// holding the worker's perturbed weights (exec.Session.ReplayLayer),
+// so concurrent callers may share net, and the profile is
+// bit-identical at every worker count.
 func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
-	if cfg.Images == 0 {
-		cfg.Images = 30
-	}
-	if cfg.Points == 0 {
-		cfg.Points = 12
-	}
-	if cfg.DeltaLoFrac == 0 {
-		cfg.DeltaLoFrac = 1.0 / 512
-	}
-	if cfg.DeltaHiFrac == 0 {
-		cfg.DeltaHiFrac = 1.0 / 16
-	}
-	if cfg.TargetSamples == 0 {
-		cfg.TargetSamples = 8192
-	}
-	if ds.Len() < cfg.Images {
-		return nil, fmt.Errorf("weights: dataset has %d images, config needs %d", ds.Len(), cfg.Images)
-	}
-	if err := cfg.Kernel.Validate(); err != nil {
+	cfg = cfg.Normalized()
+	if err := cfg.Check(ctx, ds); err != nil {
 		return nil, fmt.Errorf("weights: %w", err)
 	}
-	batch := ds.Batch(0, cfg.Images)
-	acts := net.ForwardAllOn(kernels.MustNew(cfg.Kernel), batch)
-	exact := acts[len(acts)-1]
-	sess := exec.NewSessionPolicy(exec.NewPlan(net), cfg.Kernel)
-
-	p := &Profile{NetName: net.Name}
-	for _, nodeID := range net.AnalyzableNodes() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("weights: %w", err)
-		}
-		lp, err := profileLayer(net, sess, acts, exact, nodeID, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("weights: layer %s: %w", net.Nodes[nodeID].Name, err)
-		}
-		p.Layers = append(p.Layers, lp)
-	}
-	return p, nil
-}
-
-func profileLayer(net *nn.Network, sess *exec.Session, acts []*tensor.Tensor, exact *tensor.Tensor, nodeID int, cfg Config) (LayerWeightProfile, error) {
-	nd := net.Nodes[nodeID]
-	w := weightTensor(nd.Layer)
-	if w == nil {
-		return LayerWeightProfile{}, fmt.Errorf("no weight tensor")
-	}
-	maxAbs := w.MaxAbs()
-	lp := LayerWeightProfile{
-		NodeID:  nodeID,
-		Name:    nd.Name,
-		MaxAbs:  maxAbs,
-		IntBits: fixedpoint.IntBitsForRange(maxAbs),
-		Params:  w.Len(),
-		MACs:    net.MACCount(nodeID),
-	}
-	if maxAbs == 0 {
-		return lp, fmt.Errorf("weights are all zero")
-	}
-
-	saved := append([]float64(nil), w.Data...)
-	defer copy(w.Data, saved)
+	acts := net.ForwardAllOn(kernels.MustNew(cfg.Kernel), ds.Batch(0, cfg.Images))
 
 	// Weight noise is one realization shared by every image, so the
 	// output-error sample size per replay is (images × logits); pool
 	// several independent realizations per point like the activation
 	// profiler does.
-	repeats := (cfg.TargetSamples + exact.Len() - 1) / exact.Len()
-	if repeats < 2 {
-		repeats = 2
-	}
-	if repeats > 12 {
-		repeats = 12
+	logits := acts[len(acts)-1].Len()
+	repeats := min(max((cfg.TargetSamples+logits-1)/logits, 2), 12)
+	ev := exec.NewEvaluator(cfg.Workers)
+	private := make([][]float64, ev.Workers()) // perturbed weights, one buffer per worker
+	p := &Profile{NetName: net.Name}
+	var targets []profile.Target
+	for _, nodeID := range net.AnalyzableNodes() {
+		nd := net.Nodes[nodeID]
+		w, with := weightTensor(nd.Layer)
+		if w == nil {
+			return nil, fmt.Errorf("weights: layer %s: no weight tensor", nd.Name)
+		}
+		maxAbs := w.MaxAbs()
+		if maxAbs == 0 {
+			return nil, fmt.Errorf("weights: layer %s: weights are all zero", nd.Name)
+		}
+		p.Layers = append(p.Layers, LayerWeightProfile{
+			NodeID:  nodeID,
+			Name:    nd.Name,
+			MaxAbs:  maxAbs,
+			IntBits: fixedpoint.IntBitsForRange(maxAbs),
+			Params:  w.Len(),
+			MACs:    net.MACCount(nodeID),
+		})
+		targets = append(targets, cfg.Target(nodeID, maxAbs, repeats, cfg.Seed^uint64(nodeID)*0xb5297a4d^0x77,
+			func(worker int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector) {
+				if len(private[worker]) < w.Len() {
+					private[worker] = make([]float64, w.Len())
+				}
+				pw := &tensor.Tensor{Shape: w.Shape, Data: private[worker][:w.Len()]}
+				for i, v := range w.Data {
+					pw.Data[i] = v + r.Uniform(-delta, delta)
+				}
+				return with(pw), nil
+			}))
 	}
 
-	base := rng.New(cfg.Seed ^ uint64(nodeID)*0xb5297a4d ^ 0x77)
-	noop := func(*tensor.Tensor) {}
-	diff := make([]float64, 0, exact.Len()*repeats)
-	lo, hi := cfg.DeltaLoFrac*maxAbs, cfg.DeltaHiFrac*maxAbs
-	for pt := 0; pt < cfg.Points; pt++ {
-		frac := 0.0
-		if cfg.Points > 1 {
-			frac = float64(pt) / float64(cfg.Points-1)
-		}
-		delta := lo * math.Pow(hi/lo, frac)
-		diff = diff[:0]
-		for rep := 0; rep < repeats; rep++ {
-			r := base.Split()
-			for i := range w.Data {
-				w.Data[i] = saved[i] + r.Uniform(-delta, delta)
-			}
-			out := sess.Replay(acts, nodeID, noop)
-			for i := range out.Data {
-				diff = append(diff, out.Data[i]-exact.Data[i])
-			}
-		}
-		copy(w.Data, saved)
-		_, sd := stats.MeanStd(diff)
-		lp.Deltas = append(lp.Deltas, delta)
-		lp.Sigmas = append(lp.Sigmas, sd)
-	}
-
-	wts := make([]float64, len(lp.Deltas))
-	for i, d := range lp.Deltas {
-		wts[i] = 1 / (d * d)
-	}
-	fit, err := stats.FitLineWeighted(lp.Sigmas, lp.Deltas, wts)
+	sigmas, err := profile.Sweep(ctx, ev, net, acts, cfg.Kernel, targets)
 	if err != nil {
-		return lp, err
+		return nil, fmt.Errorf("weights: %w", err)
 	}
-	lp.Lambda, lp.Theta, lp.R2 = fit.Slope, fit.Intercept, fit.R2
-	lp.MaxRelErr = stats.Max(fit.RelativeErrors(lp.Sigmas, lp.Deltas))
-	if lp.Lambda <= 0 {
-		return lp, fmt.Errorf("non-positive λw=%.4g (R²=%.3f)", lp.Lambda, lp.R2)
+	for k := range p.Layers {
+		lp := &p.Layers[k]
+		lp.Deltas, lp.Sigmas = targets[k].Deltas, sigmas[k]
+		fit, err := profile.Fit(lp.Deltas, lp.Sigmas)
+		if err != nil {
+			return nil, fmt.Errorf("weights: layer %s: %w", lp.Name, err)
+		}
+		lp.Lambda, lp.Theta, lp.R2 = fit.Slope, fit.Intercept, fit.R2
+		lp.MaxRelErr = stats.Max(fit.RelativeErrors(lp.Sigmas, lp.Deltas))
 	}
-	return lp, nil
+	return p, nil
 }
 
 // LayerWeightAlloc is one layer's weight format assignment.
@@ -263,13 +211,15 @@ func (a *Allocation) EffectiveStorageBits() float64 {
 	return num / den
 }
 
-// Apply quantizes the network's weights to the allocation's formats and
-// returns a restore function.
+// Apply quantizes the network's weights to the allocation's formats IN
+// PLACE and returns a restore function. Until restore runs, every user
+// of net sees the quantized weights, so callers must not share net with
+// concurrent readers (a zoo.Load network is process-wide).
 func (a *Allocation) Apply(net *nn.Network) (restore func()) {
 	var saved [][]float64
 	var tensors []*tensor.Tensor
 	for _, la := range a.Layers {
-		w := weightTensor(net.Nodes[la.NodeID].Layer)
+		w, _ := weightTensor(net.Nodes[la.NodeID].Layer)
 		if w == nil {
 			continue
 		}
@@ -383,7 +333,9 @@ func JointAllocate(aprof *profile.Profile, wprof *Profile, sigmaYL float64, cfg 
 // Validate measures real top-1 accuracy with BOTH the activation
 // formats and the weight formats applied. Quantization injectors are
 // stateless, so the evaluation runs on GOMAXPROCS workers with a
-// bit-identical result at any worker count.
+// bit-identical result at any worker count. The weight formats are
+// applied to net in place for the evaluation (see Apply), so it must
+// not run concurrently with other users of net.
 func Validate(net *nn.Network, ds *dataset.Dataset, n int, act *core.Allocation, w *Allocation) float64 {
 	restore := w.Apply(net)
 	defer restore()

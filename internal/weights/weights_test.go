@@ -1,6 +1,7 @@
 package weights
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -60,6 +61,33 @@ func TestWeightProfileRestoresWeights(t *testing.T) {
 	after := search.Accuracy(net, te, 100, 32, nil)
 	if before != after {
 		t.Fatalf("profiling changed the network: %v → %v", before, after)
+	}
+}
+
+// TestRunContextSharesNetWithReaders pins that weight profiling only
+// reads the network. zoo.Load hands every caller one process-wide net,
+// so an accuracy evaluation running alongside the parallel sweep must
+// see the unperturbed weights — and, under -race, no data race.
+func TestRunContextSharesNetWithReaders(t *testing.T) {
+	net, _, te := testnet.Trained()
+	want := search.Accuracy(net, te, 100, 32, nil)
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunContext(context.Background(), net, te, Config{Images: 8, Points: 4, Seed: 1, Workers: 2})
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		if got := search.Accuracy(net, te, 100, 32, nil); got != want {
+			t.Fatalf("accuracy moved while the weights were profiled: %v → %v", want, got)
+		}
 	}
 }
 

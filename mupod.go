@@ -316,8 +316,9 @@ func SimulateAccelerator(alloc *Allocation, cfg AccelConfig) (*AccelReport, erro
 }
 
 // ProfileWeights measures the weight-noise propagation constants of
-// every analyzable layer (the joint-quantization extension; weights are
-// restored afterwards).
+// every analyzable layer (the joint-quantization extension). net is
+// only read: each replay perturbs a worker-private copy of one layer's
+// weights, so the sweep runs on cfg.Workers goroutines.
 func ProfileWeights(net *Network, ds *Dataset, cfg ProfileConfig) (*WeightProfile, error) {
 	return weights.Run(net, ds, cfg)
 }
