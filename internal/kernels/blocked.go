@@ -13,7 +13,8 @@ func init() {
 // implementation: GEMM packs B into 4-column panels that stay resident
 // in L1 while a 2×4 micro-kernel streams A rows through 8 register
 // accumulators; depthwise conv hoists the padding bounds out of the
-// innermost loops; dense unrolls 4 output rows per x sweep.
+// innermost loops and shares them across four planes; dense unrolls 4
+// output rows per x sweep.
 //
 // Every output element is still bias + Σ terms in the same ascending
 // order as the scalar code (see the package reduction-order contract),
@@ -247,47 +248,43 @@ func (blockedBackend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out []
 }
 
 // dwconvHoisted computes channel planes [p0, p1) of the flattened
-// (batch·channels) plane index space; the parallel backend shards over
-// it.
+// (batch·channels) plane index space, four planes per pass: the four
+// accumulators share the hoisted bounds, and a short last group repeats
+// its final plane in the spare lanes, whose results only rewrite that
+// plane's own values. The parallel backend shards it in groups of four.
 func dwconvHoisted(g ConvGeom, p0, p1, channels int, x, w, bias, out []float64) {
 	H, W, K := g.H, g.W, g.K
-	for p := p0; p < p1; p++ {
-		c := p % channels
-		xBase := p * H * W
-		wBase := c * K * K
-		bi := 0.0
-		if bias != nil {
-			bi = bias[c]
+	for p := p0; p < p1; p += 4 {
+		var xb, wb, ob [4]int
+		var bi [4]float64
+		for t := range xb {
+			q := min(p+t, p1-1)
+			c := q % channels
+			xb[t], wb[t], ob[t] = q*H*W, c*K*K, q*g.OH*g.OW
+			if bias != nil {
+				bi[t] = bias[c]
+			}
 		}
-		outBase := p * g.OH * g.OW
 		for oh := 0; oh < g.OH; oh++ {
 			ihBase := oh*g.Stride - g.Pad
-			khLo, khHi := 0, K
-			if ihBase < 0 {
-				khLo = -ihBase
-			}
-			if ihBase+K > H {
-				khHi = H - ihBase
-			}
-			outRow := outBase + oh*g.OW
+			khLo, khHi := max(0, -ihBase), min(K, H-ihBase)
 			for ow := 0; ow < g.OW; ow++ {
 				iwBase := ow*g.Stride - g.Pad
-				kwLo, kwHi := 0, K
-				if iwBase < 0 {
-					kwLo = -iwBase
-				}
-				if iwBase+K > W {
-					kwHi = W - iwBase
-				}
-				acc := bi
+				kwLo, kwHi := max(0, -iwBase), min(K, W-iwBase)
+				a0, a1, a2, a3 := bi[0], bi[1], bi[2], bi[3]
 				for kh := khLo; kh < khHi; kh++ {
-					xRow := xBase + (ihBase+kh)*W + iwBase
-					wRow := wBase + kh*K
+					xo := (ihBase+kh)*W + iwBase
+					x0, x1, x2, x3 := xb[0]+xo, xb[1]+xo, xb[2]+xo, xb[3]+xo
+					w0, w1, w2, w3 := wb[0]+kh*K, wb[1]+kh*K, wb[2]+kh*K, wb[3]+kh*K
 					for kw := kwLo; kw < kwHi; kw++ {
-						acc += x[xRow+kw] * w[wRow+kw]
+						a0 += x[x0+kw] * w[w0+kw]
+						a1 += x[x1+kw] * w[w1+kw]
+						a2 += x[x2+kw] * w[w2+kw]
+						a3 += x[x3+kw] * w[w3+kw]
 					}
 				}
-				out[outRow+ow] = acc
+				o := oh*g.OW + ow
+				out[ob[0]+o], out[ob[1]+o], out[ob[2]+o], out[ob[3]+o] = a0, a1, a2, a3
 			}
 		}
 	}

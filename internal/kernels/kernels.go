@@ -10,11 +10,17 @@
 //     internal/nn. Slow, obvious, and the behavioral baseline every
 //     other backend is differentially checked against.
 //   - "blocked": cache-blocked, register-tiled GEMM over packed
-//     4-column panels with a 4×4 micro-kernel, hoisted-bounds
-//     depthwise conv, and a 4-row-unrolled dense kernel. Pure Go.
+//     4-column panels with a 2×4 micro-kernel, depthwise conv four
+//     planes per pass with hoisted bounds, and a 4-row-unrolled dense
+//     kernel. Pure Go.
 //   - "parallel": the blocked kernels with goroutine intra-op tiling —
 //     output columns/planes/rows of a single layer are sharded across
 //     a bounded worker set.
+//
+// Every backend shares one im2col: it copies the image once into a
+// zero-bordered buffer from the pack pool, then fills each column-matrix
+// row from one list of receptive-field offsets, with no bounds test per
+// element.
 //
 // Reduction-order contract: every backend computes each output element
 // as bias + Σ terms in one fixed ascending order (ascending l for

@@ -157,6 +157,11 @@ func TestDWConvEquivalence(t *testing.T) {
 		{geom(4, 4, 3, 1, 2), 1, 3}, // pad-dominant (pad = K-1..)
 		{geom(1, 6, 3, 1, 1), 2, 1}, // single-row input
 		{geom(12, 12, 5, 2, 2), 1, 8},
+		// 15 planes: the last four-plane group is short, and groups
+		// span image boundaries; large enough for parallel to shard.
+		{geom(16, 16, 3, 1, 1), 3, 5},
+		{geom(1, 1, 3, 1, 1), 2, 3}, // 1×1 input (mobilenet dwconv26)
+		{geom(2, 2, 3, 1, 1), 1, 7}, // 2×2 input (mobilenet dwconv10..22)
 	}
 	r := rand.New(rand.NewSource(2))
 	for ci, tc := range cases {
@@ -166,7 +171,11 @@ func TestDWConvEquivalence(t *testing.T) {
 		bias := fill(r, tc.channels)
 		want := make([]float64, tc.batch*tc.channels*g.OH*g.OW)
 		refDWConv(g, tc.batch, tc.channels, x, w, bias, want)
-		for name, be := range backendsUnderTest(t) {
+		bes := backendsUnderTest(t)
+		for _, workers := range []int{1, 2, 3} {
+			bes[fmt.Sprintf("parallel/w%d", workers)] = MustNew(Policy{Impl: "parallel", IntraWorkers: workers})
+		}
+		for name, be := range bes {
 			got := make([]float64, len(want))
 			be.DWConv(g, tc.batch, tc.channels, x, w, bias, got)
 			// Hoisting the bounds only removes excluded terms, so every
@@ -205,6 +214,50 @@ func TestDenseEquivalence(t *testing.T) {
 	}
 }
 
+// refIm2col is the bounds-checked per-element lowering every backend's
+// Im2col is checked against: each column-matrix entry is read from the
+// image or, outside it, set to zero.
+func refIm2col(g ConvGeom, inC int, x, cols []float64) {
+	i := 0
+	for ic := 0; ic < inC; ic++ {
+		for kh := 0; kh < g.K; kh++ {
+			for kw := 0; kw < g.K; kw++ {
+				for oy := 0; oy < g.OH; oy++ {
+					for ox := 0; ox < g.OW; ox++ {
+						ih := oy*g.Stride - g.Pad + kh
+						iw := ox*g.Stride - g.Pad + kw
+						cols[i] = 0
+						if ih >= 0 && ih < g.H && iw >= 0 && iw < g.W {
+							cols[i] = x[(ic*g.H+ih)*g.W+iw]
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkIm2col compares every backend's Im2col with refIm2col bit for
+// bit, into a column buffer holding stale data.
+func checkIm2col(t *testing.T, g ConvGeom, inC int, x []float64) {
+	t.Helper()
+	want := make([]float64, inC*g.K*g.K*g.OH*g.OW)
+	refIm2col(g, inC, x, want)
+	for name, be := range backendsUnderTest(t) {
+		got := make([]float64, len(want))
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		be.Im2col(g, inC, x, got)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s Im2col %+v inC=%d: mismatch at %d: got %v want %v", name, g, inC, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestIm2colEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for _, tc := range []struct {
@@ -215,21 +268,38 @@ func TestIm2colEquivalence(t *testing.T) {
 		{geom(6, 6, 1, 1, 0), 5},
 		{geom(9, 9, 2, 3, 0), 2},
 		{geom(4, 4, 3, 1, 2), 4},
+		{geom(16, 16, 3, 2, 1), 3},  // stride 2, pad 1 (mobilenet conv1)
+		{geom(2, 2, 3, 1, 1), 32},   // 2×2 input (nin conv10)
+		{geom(1, 1, 3, 1, 1), 40},   // 1×1 input
+		{geom(3, 5, 2, 1, 3), 2},    // pad > K
+		{geom(4, 4, 3, 2, 3), 3},    // pad = K, strided
+		{geom(16, 16, 3, 1, 1), 64}, // large enough for parallel to shard
 	} {
-		x := fill(r, tc.inC*tc.g.H*tc.g.W)
-		want := make([]float64, tc.inC*tc.g.K*tc.g.K*tc.g.OH*tc.g.OW)
-		naiveBackend{}.Im2col(tc.g, tc.inC, x, want)
-		for name, be := range backendsUnderTest(t) {
-			got := make([]float64, len(want))
-			be.Im2col(tc.g, tc.inC, x, got)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s Im2col: mismatch at %d", name, i)
-				}
-			}
-		}
+		checkIm2col(t, tc.g, tc.inC, fill(r, tc.inC*tc.g.H*tc.g.W))
 	}
 }
+
+// FuzzIm2col checks random geometries against refIm2col: H, W ≤ 12,
+// K ≤ 5, stride ≤ 3, pad ≤ K, up to 8 channels. In-range arguments are
+// taken as they are; others wrap into range.
+func FuzzIm2col(f *testing.F) {
+	f.Add(12, 12, 3, 2, 1, 3, int64(1)) // stride 2, pad 1
+	f.Add(2, 2, 3, 1, 1, 8, int64(2))   // 2×2 input, K = 3
+	f.Add(1, 1, 3, 1, 1, 4, int64(3))   // 1×1 input, K = 3
+	f.Add(3, 5, 2, 3, 2, 2, int64(4))   // pad = K
+	f.Fuzz(func(t *testing.T, h, w, k, stride, pad, inC int, seed int64) {
+		h, w, k = wrap(h, 1, 12), wrap(w, 1, 12), wrap(k, 1, 5)
+		stride, pad, inC = wrap(stride, 1, 3), wrap(pad, 0, k+1), wrap(inC, 1, 8)
+		if h+2*pad < k || w+2*pad < k {
+			return
+		}
+		g := geom(h, w, k, stride, pad)
+		checkIm2col(t, g, inC, fill(rand.New(rand.NewSource(seed)), inC*h*w))
+	})
+}
+
+// wrap maps v into [lo, lo+n), leaving values already there unchanged.
+func wrap(v, lo, n int) int { return lo + int(uint(v-lo)%uint(n)) }
 
 func TestFanRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
@@ -429,20 +499,28 @@ func BenchmarkGEMMBackends(b *testing.B) {
 	}
 }
 
+// BenchmarkDWConvBackends times a 56×56×64 layer under its historical
+// names, then mobilenet's 8×8×8 and 2×2×32 layers, the map sizes its
+// profiling replays run.
 func BenchmarkDWConvBackends(b *testing.B) {
-	g := geom(56, 56, 3, 1, 1)
 	r := rand.New(rand.NewSource(7))
-	const batch, channels = 1, 64
-	x := fill(r, batch*channels*g.H*g.W)
-	w := fill(r, channels*g.K*g.K)
-	bias := fill(r, channels)
-	out := make([]float64, batch*channels*g.OH*g.OW)
-	for _, name := range []string{"naive", "blocked", "parallel"} {
-		be := MustNew(Policy{Impl: name})
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				be.DWConv(g, batch, channels, x, w, bias, out)
-			}
-		})
+	for _, tc := range []struct {
+		suffix       string
+		hw, channels int
+	}{{"", 56, 64}, {"-c8-hw8", 8, 8}, {"-c32-hw2", 2, 32}} {
+		g := geom(tc.hw, tc.hw, 3, 1, 1)
+		const batch = 1
+		x := fill(r, batch*tc.channels*g.H*g.W)
+		w := fill(r, tc.channels*g.K*g.K)
+		bias := fill(r, tc.channels)
+		out := make([]float64, batch*tc.channels*g.OH*g.OW)
+		for _, name := range []string{"naive", "blocked", "parallel"} {
+			be := MustNew(Policy{Impl: name})
+			b.Run(name+tc.suffix, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					be.DWConv(g, batch, tc.channels, x, w, bias, out)
+				}
+			})
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package kernels
 
+import "sync"
+
 func init() {
 	Register("naive", func(int) Backend { return naiveBackend{} })
 }
@@ -51,45 +53,55 @@ func (naiveBackend) Im2col(g ConvGeom, inC int, x, cols []float64) {
 // [inC·K·K, OH·OW] column matrix (zero padding materialized). All
 // backends share it — pure data movement has one correct answer.
 func im2col(g ConvGeom, inC int, x, cols []float64) {
-	kk := g.K * g.K
-	plane := g.OH * g.OW
+	xp, off := im2colSetup(g, inC, x)
+	pp, rows := len(xp)/inC, g.K*g.K*len(*off)
 	for ic := 0; ic < inC; ic++ {
-		im2colChannel(g, ic, x, cols[ic*kk*plane:(ic+1)*kk*plane])
+		im2colChannel(g, xp[ic*pp:(ic+1)*pp], *off, cols[ic*rows:(ic+1)*rows])
 	}
+	putPack(xp)
+	offPool.Put(off)
 }
 
-// im2colChannel packs the K·K column-matrix rows of input channel ic
-// into dst ([K·K, OH·OW]); the parallel backend shards over channels.
-func im2colChannel(g ConvGeom, ic int, x, dst []float64) {
-	H, W := g.H, g.W
-	plane := g.OH * g.OW
-	xBase := ic * H * W
-	row := 0
+// offPool recycles im2col's receptive-field offset lists.
+var offPool = sync.Pool{New: func() any { return new([]int) }}
+
+// im2colSetup pads once: it copies the [inC, H, W] image x into a
+// zero-bordered [inC, H+2·Pad, W+2·Pad] buffer from the pack pool, so
+// every receptive field lies inside it, and lists where each output
+// pixel's field starts in one padded plane: off[oy·OW+ox] =
+// oy·Stride·(W+2·Pad) + ox·Stride. Release xp with putPack and off with
+// offPool.Put.
+func im2colSetup(g ConvGeom, inC int, x []float64) (xp []float64, off *[]int) {
+	hp, wp := g.H+2*g.Pad, g.W+2*g.Pad
+	xp = getPack(inC * hp * wp)
+	clear(xp)
+	for ic := 0; ic < inC; ic++ {
+		for ih := 0; ih < g.H; ih++ {
+			copy(xp[(ic*hp+ih+g.Pad)*wp+g.Pad:], x[(ic*g.H+ih)*g.W:][:g.W])
+		}
+	}
+	off = offPool.Get().(*[]int)
+	*off = (*off)[:0]
+	for oy := 0; oy < g.OH; oy++ {
+		for ox := 0; ox < g.OW; ox++ {
+			*off = append(*off, oy*g.Stride*wp+ox*g.Stride)
+		}
+	}
+	return xp, off
+}
+
+// im2colChannel fills the K·K column-matrix rows of one input channel
+// into dst ([K·K, OH·OW]) from its padded plane xp, with no bounds test
+// per element; the parallel backend shards over channels.
+func im2colChannel(g ConvGeom, xp []float64, off []int, dst []float64) {
+	wp := g.W + 2*g.Pad
 	for kh := 0; kh < g.K; kh++ {
 		for kw := 0; kw < g.K; kw++ {
-			d := dst[row*plane : (row+1)*plane]
-			i := 0
-			for oy := 0; oy < g.OH; oy++ {
-				ih := oy*g.Stride - g.Pad + kh
-				if ih < 0 || ih >= H {
-					for ox := 0; ox < g.OW; ox++ {
-						d[i] = 0
-						i++
-					}
-					continue
-				}
-				xRow := xBase + ih*W
-				for ox := 0; ox < g.OW; ox++ {
-					iw := ox*g.Stride - g.Pad + kw
-					if iw < 0 || iw >= W {
-						d[i] = 0
-					} else {
-						d[i] = x[xRow+iw]
-					}
-					i++
-				}
+			src := xp[kh*wp+kw:]
+			d := dst[(kh*g.K+kw)*len(off):][:len(off)]
+			for i, o := range off {
+				d[i] = src[o]
 			}
-			row++
 		}
 	}
 }

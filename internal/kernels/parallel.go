@@ -91,22 +91,26 @@ func (p parallelBackend) GEMM(m, n, k int, a, b, bias, c []float64) {
 	})
 }
 
-// Im2col implements Backend: input channels shard (each channel packs
-// its own K·K rows of the column matrix).
+// Im2col implements Backend: the image is padded once, then input
+// channels shard (each channel fills its own K·K rows of the column
+// matrix).
 func (p parallelBackend) Im2col(g ConvGeom, inC int, x, cols []float64) {
 	countDispatch(implParallel, opIm2col)
 	if p.workers < 2 || inC < 2 || inC*g.K*g.K*g.OH*g.OW < minParallelMACs {
 		im2col(g, inC, x, cols)
 		return
 	}
-	kk := g.K * g.K
-	plane := g.OH * g.OW
+	xp, off := im2colSetup(g, inC, x)
+	pp, rows := len(xp)/inC, g.K*g.K*len(*off)
 	runShards(p.workers, inC, func(ic int) {
-		im2colChannel(g, ic, x, cols[ic*kk*plane:(ic+1)*kk*plane])
+		im2colChannel(g, xp[ic*pp:(ic+1)*pp], *off, cols[ic*rows:(ic+1)*rows])
 	})
+	putPack(xp)
+	offPool.Put(off)
 }
 
-// DWConv implements Backend: channel planes shard.
+// DWConv implements Backend: channel planes shard in the groups of four
+// that dwconvHoisted computes per pass.
 func (p parallelBackend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out []float64) {
 	countDispatch(implParallel, opDWConv)
 	planes := batch * channels
@@ -114,8 +118,8 @@ func (p parallelBackend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out
 		dwconvHoisted(g, 0, planes, channels, x, w, bias, out)
 		return
 	}
-	runShards(p.workers, planes, func(pl int) {
-		dwconvHoisted(g, pl, pl+1, channels, x, w, bias, out)
+	runShards(p.workers, (planes+3)/4, func(u int) {
+		dwconvHoisted(g, 4*u, min(4*u+4, planes), channels, x, w, bias, out)
 	})
 }
 

@@ -22,7 +22,9 @@ func convGeom(h, w, k, stride, pad, oh, ow int) kernels.ConvGeom {
 
 // ForwardIntoOn implements BackendForwarder: the convolution as
 // OutC×(InC·K·K) times (InC·K·K)×(OH·OW) per image, with the im2col
-// column matrix carried in scratch instead of allocated per call.
+// column matrix carried in scratch instead of allocated per call. A
+// 1×1, stride-1, unpadded conv's column matrix is the image itself, so
+// the image goes to GEMM directly.
 func (c *Conv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("conv", ins, 1)
 	x := ins[0]
@@ -32,12 +34,18 @@ func (c *Conv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *te
 	g := convGeom(H, W, c.K, c.Stride, c.Pad, OH, OW)
 	plane := OH * OW
 	ckk := c.InC * c.K * c.K
-	scratch = growScratch(scratch, ckk*plane)
-	cols := scratch[:ckk*plane]
+	direct := c.K == 1 && c.Stride == 1 && c.Pad == 0
+	if !direct {
+		scratch = growScratch(scratch, ckk*plane)
+	}
 	imgIn := c.InC * H * W
 	imgOut := c.OutC * plane
 	for n := 0; n < N; n++ {
-		be.Im2col(g, c.InC, x.Data[n*imgIn:(n+1)*imgIn], cols)
+		cols := x.Data[n*imgIn : (n+1)*imgIn]
+		if !direct {
+			be.Im2col(g, c.InC, cols, scratch)
+			cols = scratch
+		}
 		be.GEMM(c.OutC, plane, ckk, c.W.Data, cols, c.B.Data, out.Data[n*imgOut:(n+1)*imgOut])
 	}
 	return scratch

@@ -113,18 +113,64 @@ func TestPoolAndDenseBackendsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestConv1x1IsGEMMOnInput: a 1×1 conv through ForwardIntoOn equals
+// GEMM on the im2col'd input bit for bit, on every backend. Stride 1
+// without padding takes the direct path, which skips im2col; stride 2
+// and padding must not.
+func TestConv1x1IsGEMMOnInput(t *testing.T) {
+	r := rng.New(37)
+	const inC, outC, hw, batch = 32, 24, 8, 2
+	x := randTensor(r, batch, inC, hw, hw)
+	const img = inC * hw * hw
+	for _, geo := range []struct{ stride, pad int }{{1, 0}, {2, 0}, {1, 1}} {
+		c := NewConv2D(inC, outC, 1, geo.stride, geo.pad)
+		c.InitHe(r, 1)
+		for i := range c.B.Data {
+			c.B.Data[i] = r.Uniform(-0.5, 0.5)
+		}
+		os := c.OutShape([][]int{x.Shape})
+		g := convGeom(hw, hw, 1, geo.stride, geo.pad, os[2], os[3])
+		plane := os[2] * os[3]
+		for _, name := range kernels.Names() {
+			for _, workers := range []int{1, 3} {
+				be := kernels.MustNew(kernels.Policy{Impl: name, IntraWorkers: workers})
+				got := tensor.New(os...)
+				c.ForwardIntoOn(be, []*tensor.Tensor{x}, got, nil)
+				cols := make([]float64, inC*plane)
+				want := make([]float64, outC*plane)
+				for n := 0; n < batch; n++ {
+					be.Im2col(g, inC, x.Data[n*img:(n+1)*img], cols)
+					be.GEMM(outC, plane, inC, c.W.Data, cols, c.B.Data, want)
+					for i, w := range want {
+						if math.Float64bits(got.Data[n*outC*plane+i]) != math.Float64bits(w) {
+							t.Fatalf("%+v %s/w%d image %d element %d: conv %v, GEMM on im2col %v",
+								geo, name, workers, n, i, got.Data[n*outC*plane+i], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkConvBackends times 3×3 convs from 16×16 down to the 4×4 and
+// 2×2 maps the zoo's profiling replays run, and one 1×1 conv.
 func BenchmarkConvBackends(b *testing.B) {
 	r := rng.New(36)
-	for _, cse := range []struct{ c, hw int }{{8, 16}, {32, 16}, {64, 8}} {
-		c := NewConv2D(cse.c, cse.c, 3, 1, 1)
+	for _, cse := range []struct{ c, hw, k int }{{8, 16, 3}, {32, 16, 3}, {64, 8, 3}, {32, 4, 3}, {32, 2, 3}, {32, 8, 1}} {
+		c := NewConv2D(cse.c, cse.c, cse.k, 1, cse.k/2)
 		c.InitHe(r, 1)
 		x := randTensor(r, 1, cse.c, cse.hw, cse.hw)
 		ins := []*tensor.Tensor{x}
 		out := tensor.New(c.OutShape([][]int{x.Shape})...)
+		suffix := ""
+		if cse.k != 3 {
+			suffix = fmt.Sprintf("-k%d", cse.k)
+		}
 		for _, name := range kernels.Names() {
 			be := kernels.MustNew(kernels.Policy{Impl: name})
 			var scratch []float64
-			b.Run(fmt.Sprintf("%s-c%d-hw%d", name, cse.c, cse.hw), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s-c%d-hw%d%s", name, cse.c, cse.hw, suffix), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					scratch = c.ForwardIntoOn(be, ins, out, scratch)
 				}

@@ -58,21 +58,32 @@ func (Flatten) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []f
 	return scratch
 }
 
-// ForwardInto implements IntoForwarder.
+// ForwardInto implements IntoForwarder: v > 0 keeps v and anything
+// else (−0 and NaN included) gives +0, selected with an integer mask
+// because a branch on the sign of noisy activations mispredicts.
 func (ReLU) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("relu", ins, 1)
-	for i, v := range ins[0].Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+	x := ins[0].Data
+	o := out.Data[:len(x)]
+	for i, v := range x {
+		o[i] = math.Float64frombits(math.Float64bits(v) & -b2u(v > 0))
 	}
 	return scratch
 }
 
+// b2u returns 1 for true and 0 for false. The compiler lowers it to a
+// flag set, so a mask -b2u(cond) selects without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // maxPoolPlane pools one [H, W] plane starting at x[base] into
-// out[oBase:]; shared by the serial and fanned pooling paths.
+// out[oBase:]; shared by the serial and fanned pooling paths. A value
+// replaces the best so far only when v > best, selected with a mask:
+// NaN never wins and the first of equal values (+0 before −0) stays.
 func maxPoolPlane(x, out []float64, base, oBase, w, oh, ow, k, stride int) {
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -80,9 +91,9 @@ func maxPoolPlane(x, out []float64, base, oBase, w, oh, ow, k, stride int) {
 			for kh := 0; kh < k; kh++ {
 				row := base + (oy*stride+kh)*w + ox*stride
 				for kw := 0; kw < k; kw++ {
-					if v := x[row+kw]; v > best {
-						best = v
-					}
+					v := x[row+kw]
+					m := -b2u(v > best)
+					best = math.Float64frombits(math.Float64bits(v)&m | math.Float64bits(best)&^m)
 				}
 			}
 			out[oBase+oy*ow+ox] = best

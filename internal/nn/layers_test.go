@@ -124,10 +124,15 @@ func TestDensePanicsOnWrongFeatures(t *testing.T) {
 }
 
 func TestReLU(t *testing.T) {
-	x := tensor.FromSlice([]float64{-1, 0, 2.5}, 3)
-	out := (ReLU{}).Forward([]*tensor.Tensor{x})
-	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2.5 {
-		t.Fatalf("relu = %v", out.Data)
+	// v > 0 keeps v; anything else, −0 and NaN included, gives +0.
+	nan, negZero, sub := math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	in := []float64{-1, 0, 2.5, nan, math.Copysign(nan, -1), negZero, math.Inf(1), math.Inf(-1), sub, -sub}
+	want := []float64{0, 0, 2.5, 0, 0, 0, math.Inf(1), 0, sub, 0}
+	out := (ReLU{}).Forward([]*tensor.Tensor{tensor.FromSlice(in, len(in))})
+	for i, w := range want {
+		if math.Float64bits(out.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("relu(%v) = %v, want %v", in[i], out.Data[i], w)
+		}
 	}
 }
 
@@ -144,6 +149,35 @@ func TestMaxPool(t *testing.T) {
 	for i, w := range want {
 		if out.Data[i] != w {
 			t.Fatalf("maxpool[%d] = %v, want %v", i, out.Data[i], w)
+		}
+	}
+
+	// A value replaces the best so far only when it is greater: NaN
+	// never wins, so an all-NaN window gives −Inf, and the first of
+	// equal values stays (+0 then −0 gives +0, −0 then +0 gives −0).
+	nan, negZero, sub := math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	windows := []struct {
+		in   [4]float64 // row-major 2×2 window
+		want float64
+	}{
+		{[4]float64{nan, nan, nan, nan}, math.Inf(-1)},
+		{[4]float64{nan, 1, nan, -2}, 1},
+		{[4]float64{0, negZero, -1, -2}, 0},
+		{[4]float64{negZero, 0, -1, -2}, negZero},
+		{[4]float64{math.Inf(-1), nan, math.Inf(-1), math.Inf(-1)}, math.Inf(-1)},
+		{[4]float64{-1, math.Inf(1), nan, 3}, math.Inf(1)},
+		{[4]float64{negZero, sub, -sub, 0}, sub},
+	}
+	n := len(windows)
+	x = tensor.New(1, 1, 2, 2*n)
+	for j, wc := range windows {
+		x.Data[2*j], x.Data[2*j+1] = wc.in[0], wc.in[1]
+		x.Data[2*n+2*j], x.Data[2*n+2*j+1] = wc.in[2], wc.in[3]
+	}
+	out = p.Forward([]*tensor.Tensor{x})
+	for j, wc := range windows {
+		if math.Float64bits(out.Data[j]) != math.Float64bits(wc.want) {
+			t.Fatalf("maxpool of window %v = %v, want %v", wc.in, out.Data[j], wc.want)
 		}
 	}
 }

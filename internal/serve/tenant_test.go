@@ -170,6 +170,16 @@ func TestBatchSubmitSingleFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRunning(t, m, gj)
+	// runJob marks the gate running before it journals the running
+	// record, so wait for that record's flush (the third: epoch, submit,
+	// running) or it can land inside the window measured below.
+	deadline := time.Now().Add(10 * time.Second)
+	for m.journal.Flushes() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate job's running record never flushed (%d flushes)", m.journal.Flushes())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
 	before := m.journal.Flushes()
 	reqs := make([]JobRequest, 5)
