@@ -365,9 +365,10 @@ func BenchmarkSessionAlloc(b *testing.B) {
 }
 
 // BenchmarkProfileAlexNet runs the end-to-end AlexNet Δ-sweep at
-// several worker counts; the README's performance table and
-// BENCH_exec.json record its output. Results are bit-identical across
-// the sub-benchmarks (see TestProfileBitIdenticalAcrossWorkers).
+// several worker counts; the README's performance section and the
+// legacy baselines in perfbench/legacy_baselines.json quote its output.
+// Results are bit-identical across the sub-benchmarks (see
+// TestProfileBitIdenticalAcrossWorkers).
 func BenchmarkProfileAlexNet(b *testing.B) {
 	net := zoo.MustLoad(zoo.AlexNet)
 	_, te := zoo.Data(zoo.AlexNet)

@@ -5,15 +5,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
+	"mupod/internal/cli"
 	"mupod/internal/experiments"
-	"mupod/internal/kernels"
-	"mupod/internal/obs"
 	"mupod/internal/zoo"
 )
 
@@ -23,48 +20,23 @@ func main() {
 	points := flag.Int("points", 16, "Δ points per layer regression")
 	seed := flag.Uint64("seed", 1, "noise seed")
 	scatter := flag.Int("scatter", 2, "number of layers to render as ASCII scatter plots")
-	workers := flag.Int("workers", 0, "evaluation worker count (0 = all CPUs; results are identical at any count)")
-	kernel := flag.String("kernel", "", "forward-pass compute backend: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
-	logSpec := flag.String("log", "", "log level[,format]: debug|info|warn|error, text|json (default $MUPOD_LOG or info,text)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the run to this path")
+	run := cli.Flags("mupod-fig2")
 	flag.Parse()
-
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
-	if err := kpol.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "mupod-fig2: %v\n", err)
-		os.Exit(2)
-	}
-
-	if _, err := obs.Setup(*logSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-fig2:", err)
-		os.Exit(1)
-	}
-	ctx, flushTrace := obs.TraceToFile(context.Background(), *traceOut, 0)
-	ctx, stop := obs.SignalContext(ctx)
-	defer stop()
+	ctx := run.Start()
 
 	for _, m := range strings.Split(*models, ",") {
 		a := zoo.Arch(strings.TrimSpace(m))
 		if _, ok := zoo.AnalyzableLayers[a]; !ok {
-			fmt.Fprintf(os.Stderr, "mupod-fig2: unknown model %q\n", m)
-			os.Exit(1)
+			run.Check(fmt.Errorf("unknown model %q", m))
 		}
 		res, err := experiments.Fig2(ctx, a, experiments.Opts{
 			ProfileImages: *images,
 			ProfilePoints: *points,
 			Seed:          *seed,
-			Workers:       *workers,
-			Kernel:        kpol,
+			Workers:       run.Workers,
+			Kernel:        run.Kernel,
 		})
-		if err != nil {
-			if obs.Interrupted(ctx) {
-				fmt.Fprintln(os.Stderr, "mupod-fig2: interrupted")
-				os.Exit(130)
-			}
-			fmt.Fprintln(os.Stderr, "mupod-fig2:", err)
-			os.Exit(1)
-		}
+		run.Check(err)
 		fmt.Print(res.String())
 		for i := 0; i < *scatter && i < len(res.Layers); i++ {
 			// Spread the rendered layers across the network.
@@ -74,10 +46,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if err := flushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-fig2: writing trace:", err)
-		os.Exit(1)
-	}
+	run.Finish()
 }
 
 func max(a, b int) int {

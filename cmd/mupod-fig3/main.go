@@ -6,15 +6,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
+	"mupod/internal/cli"
 	"mupod/internal/experiments"
-	"mupod/internal/kernels"
-	"mupod/internal/obs"
 	"mupod/internal/zoo"
 )
 
@@ -25,38 +22,19 @@ func main() {
 	images := flag.Int("images", 24, "profiling images")
 	eval := flag.Int("eval", 200, "images per accuracy evaluation")
 	seed := flag.Uint64("seed", 1, "noise seed")
-	workers := flag.Int("workers", 0, "evaluation worker count (0 = all CPUs; results are identical at any count)")
-	kernel := flag.String("kernel", "", "forward-pass compute backend: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
-	logSpec := flag.String("log", "", "log level[,format]: debug|info|warn|error, text|json (default $MUPOD_LOG or info,text)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the run to this path")
+	run := cli.Flags("mupod-fig3")
 	flag.Parse()
-
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
-	if err := kpol.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "mupod-fig3: %v\n", err)
-		os.Exit(2)
-	}
-
-	if _, err := obs.Setup(*logSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-fig3:", err)
-		os.Exit(1)
-	}
-	ctx, flushTrace := obs.TraceToFile(context.Background(), *traceOut, 0)
-	ctx, stop := obs.SignalContext(ctx)
-	defer stop()
+	ctx := run.Start()
 
 	a := zoo.Arch(*model)
 	if _, ok := zoo.AnalyzableLayers[a]; !ok {
-		fmt.Fprintf(os.Stderr, "mupod-fig3: unknown model %q\n", *model)
-		os.Exit(1)
+		run.Check(fmt.Errorf("unknown model %q", *model))
 	}
 	var sigmas []float64
 	for _, s := range strings.Split(*sigmaList, ",") {
 		var v float64
 		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &v); err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "mupod-fig3: bad σ %q\n", s)
-			os.Exit(1)
+			run.Check(fmt.Errorf("bad σ %q", s))
 		}
 		sigmas = append(sigmas, v)
 	}
@@ -65,20 +43,10 @@ func main() {
 		ProfileImages: *images,
 		EvalImages:    *eval,
 		Seed:          *seed,
-		Workers:       *workers,
-		Kernel:        kpol,
+		Workers:       run.Workers,
+		Kernel:        run.Kernel,
 	})
-	if err != nil {
-		if obs.Interrupted(ctx) {
-			fmt.Fprintln(os.Stderr, "mupod-fig3: interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "mupod-fig3:", err)
-		os.Exit(1)
-	}
-	if err := flushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-fig3: writing trace:", err)
-		os.Exit(1)
-	}
+	run.Check(err)
+	run.Finish()
 	fmt.Print(res.String())
 }

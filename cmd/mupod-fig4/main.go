@@ -4,15 +4,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"strings"
 
+	"mupod/internal/cli"
 	"mupod/internal/experiments"
-	"mupod/internal/kernels"
-	"mupod/internal/obs"
 )
 
 func main() {
@@ -20,46 +16,19 @@ func main() {
 	points := flag.Int("points", 12, "Δ points per layer regression")
 	eval := flag.Int("eval", 200, "images per accuracy evaluation")
 	seed := flag.Uint64("seed", 1, "noise seed")
-	workers := flag.Int("workers", 0, "evaluation worker count (0 = all CPUs; results are identical at any count)")
-	kernel := flag.String("kernel", "", "forward-pass compute backend: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
-	logSpec := flag.String("log", "", "log level[,format]: debug|info|warn|error, text|json (default $MUPOD_LOG or info,text)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the run to this path")
+	run := cli.Flags("mupod-fig4")
 	flag.Parse()
-
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
-	if err := kpol.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "mupod-fig4: %v\n", err)
-		os.Exit(2)
-	}
-
-	if _, err := obs.Setup(*logSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-fig4:", err)
-		os.Exit(1)
-	}
-	ctx, flushTrace := obs.TraceToFile(context.Background(), *traceOut, 0)
-	ctx, stop := obs.SignalContext(ctx)
-	defer stop()
+	ctx := run.Start()
 
 	res, err := experiments.Fig4(ctx, experiments.Opts{
 		ProfileImages: *images,
 		ProfilePoints: *points,
 		EvalImages:    *eval,
 		Seed:          *seed,
-		Workers:       *workers,
-		Kernel:        kpol,
+		Workers:       run.Workers,
+		Kernel:        run.Kernel,
 	})
-	if err != nil {
-		if obs.Interrupted(ctx) {
-			fmt.Fprintln(os.Stderr, "mupod-fig4: interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "mupod-fig4:", err)
-		os.Exit(1)
-	}
-	if err := flushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-fig4: writing trace:", err)
-		os.Exit(1)
-	}
+	run.Check(err)
+	run.Finish()
 	fmt.Print(res.String())
 }

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,8 +15,7 @@ import (
 	"strconv"
 	"strings"
 
-	"mupod/internal/kernels"
-	"mupod/internal/obs"
+	"mupod/internal/cli"
 	"mupod/internal/pareto"
 	"mupod/internal/profile"
 	"mupod/internal/report"
@@ -40,78 +38,47 @@ func main() {
 	refFront := flag.String("ref-front", "", "CSV of a reference front (mupod-pareto -csv output) to score GD/IGD against")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	all := flag.Bool("all", false, "print every sweep point, not only the frontier")
-	workers := flag.Int("workers", 0, "evaluation worker count (0 = all CPUs; results are identical at any count)")
-	kernel := flag.String("kernel", "", "forward-pass compute backend: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
-	logSpec := flag.String("log", "", "log level[,format]: debug|info|warn|error, text|json (default $MUPOD_LOG or info,text)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the run to this path")
+	run := cli.Flags("mupod-pareto")
 	flag.Parse()
-
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
-	if err := kpol.Validate(); err != nil {
-		fatal(err)
-	}
-	if _, err := obs.Setup(*logSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-pareto:", err)
-		os.Exit(1)
-	}
+	ctx := run.Start()
 	alphas, err := parseAlphas(*alphasFlag)
-	if err != nil {
-		fatal(err)
-	}
-	ctx, flushTrace := obs.TraceToFile(context.Background(), *traceOut, 0)
-	ctx, stop := obs.SignalContext(ctx)
-	defer stop()
+	run.Check(err)
 
 	arch := zoo.Arch(*model)
 	if _, ok := zoo.AnalyzableLayers[arch]; !ok {
-		fmt.Fprintf(os.Stderr, "mupod-pareto: unknown model %q\n", *model)
-		os.Exit(1)
+		run.Check(fmt.Errorf("unknown model %q", *model))
 	}
 	net, err := zoo.Load(arch)
-	if err != nil {
-		fatal(err)
-	}
+	run.Check(err)
 	_, test := zoo.Data(arch)
 
-	prof, err := profile.RunContext(ctx, net, test, profile.Config{Images: *images, Points: *points, Seed: *seed, Workers: *workers, Kernel: kpol})
-	if err != nil {
-		fatalCtx(ctx, err)
-	}
+	prof, err := profile.RunContext(ctx, net, test, profile.Config{Images: *images, Points: *points, Seed: *seed, Workers: run.Workers, Kernel: run.Kernel})
+	run.Check(err)
 	sr, err := search.RunContext(ctx, net, prof, test, search.Options{
-		Scheme: search.Scheme2Gaussian, RelDrop: *drop, EvalImages: *eval, Seed: *seed ^ 0x5eed, Workers: *workers, Kernel: kpol,
+		Scheme: search.Scheme2Gaussian, RelDrop: *drop, EvalImages: *eval, Seed: *seed ^ 0x5eed, Workers: run.Workers, Kernel: run.Kernel,
 	})
-	if err != nil {
-		fatalCtx(ctx, err)
-	}
+	run.Check(err)
 
 	var sweep, front []pareto.Point
 	var ref [2]float64
 	var hv, sweepHV float64
 	if *nsga2 {
 		res, err := pareto.RunNSGA2(ctx, prof, sr.SigmaYL, pareto.NSGA2Config{
-			Generations: *gens, PopSize: *pop, Seed: *seed, Workers: *workers,
+			Generations: *gens, PopSize: *pop, Seed: *seed, Workers: run.Workers,
 			Alphas: alphas, WeightBits: *weightBits,
 		})
-		if err != nil {
-			fatalCtx(ctx, err)
-		}
+		run.Check(err)
 		sweep, front = res.Sweep, res.Front
 		ref, hv, sweepHV = res.RefPoint, res.Hypervolume, res.SweepHypervolume
 	} else {
 		sweep, err = pareto.SweepContext(ctx, prof, sr.SigmaYL, pareto.Config{Alphas: alphas, WeightBits: *weightBits})
-		if err != nil {
-			fatalCtx(ctx, err)
-		}
+		run.Check(err)
 		front = pareto.NonDominated(sweep)
 		ref = pareto.RefPoint(sweep)
 		hv = pareto.Hypervolume(sweep, ref)
 		sweepHV = hv
 	}
-	if err := flushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "mupod-pareto: writing trace:", err)
-		os.Exit(1)
-	}
+	run.Finish()
 
 	shown := front
 	if *all {
@@ -148,9 +115,7 @@ func main() {
 
 	if *refFront != "" {
 		refPts, err := loadRefFront(*refFront)
-		if err != nil {
-			fatal(err)
-		}
+		run.Check(err)
 		fmt.Printf("\nvs reference front %s (%d points):\n", *refFront, len(refPts))
 		fmt.Printf("  GD  = %.6g\n  IGD = %.6g\n  spread = %.6g\n",
 			pareto.GenerationalDistance(front, refPts),
@@ -238,17 +203,4 @@ func loadRefFront(path string) ([]pareto.Point, error) {
 		return nil, fmt.Errorf("ref-front %s: no points", path)
 	}
 	return pts, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mupod-pareto:", err)
-	os.Exit(1)
-}
-
-func fatalCtx(ctx context.Context, err error) {
-	if obs.Interrupted(ctx) {
-		fmt.Fprintln(os.Stderr, "mupod-pareto: interrupted")
-		os.Exit(130)
-	}
-	fatal(err)
 }

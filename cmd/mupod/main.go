@@ -7,7 +7,7 @@
 //
 //	mupod -model alexnet -objective mac -drop 0.01 [-scheme 1]
 //	      [-images 30] [-points 12] [-eval 200] [-summary]
-//	      [-kernel blocked|parallel|naive] [-intra-workers n]
+//	      [-kernel blocked|parallel] [-intra-workers n]
 //	      [-log level[,format]] [-trace out.json]
 //
 // With -trace, the run writes a Chrome trace-event file covering the
@@ -17,7 +17,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -25,14 +24,13 @@ import (
 
 	"mupod/internal/accel"
 	"mupod/internal/baseline"
+	"mupod/internal/cli"
 	"mupod/internal/core"
 	"mupod/internal/dataset"
 	"mupod/internal/energy"
 	"mupod/internal/fxnet"
-	"mupod/internal/kernels"
 	"mupod/internal/netdesc"
 	"mupod/internal/nn"
-	"mupod/internal/obs"
 	"mupod/internal/profile"
 	"mupod/internal/report"
 	"mupod/internal/search"
@@ -52,40 +50,23 @@ func main() {
 	eval := flag.Int("eval", 200, "images per accuracy evaluation")
 	seed := flag.Uint64("seed", 1, "noise seed")
 	summary := flag.Bool("summary", false, "print the network topology and exit")
-	workers := flag.Int("workers", 0, "evaluation worker count (0 = all CPUs; results are identical at any count)")
-	kernel := flag.String("kernel", "", "forward-pass compute backend: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
-	logSpec := flag.String("log", "", "log level[,format]: debug|info|warn|error, text|json (default $MUPOD_LOG or info,text)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the pipeline run to this path")
+	run := cli.Flags("mupod")
+	flag.Lookup("trace").Usage = "write a Chrome trace-event file of the pipeline run to this path"
 	flag.Parse()
-
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
-	if err := kpol.Validate(); err != nil {
-		fatal("%v", err)
-	}
-	if _, err := obs.Setup(*logSpec); err != nil {
-		fatal("%v", err)
-	}
-	ctx, flushTrace := obs.TraceToFile(context.Background(), *traceOut, 0)
-	ctx, stop := obs.SignalContext(ctx)
-	defer stop()
+	ctx := run.Start()
 
 	var net *nn.Network
 	var test *dataset.Dataset
 	if *netfile != "" {
 		f, err := os.Open(*netfile)
-		if err != nil {
-			fatal("%v", err)
-		}
+		run.Check(err)
 		net, err = netdesc.Parse(f)
 		f.Close()
-		if err != nil {
-			fatal("%v", err)
-		}
+		run.Check(err)
 		// Custom networks train on a synthetic split generated for
 		// their input size (10 classes, 3 channels expected).
 		if net.InputShape[0] != 3 {
-			fatal("netfile networks must take 3-channel input (got %v)", net.InputShape)
+			run.Check(fmt.Errorf("netfile networks must take 3-channel input (got %v)", net.InputShape))
 		}
 		var tr *dataset.Dataset
 		tr, test = dataset.Generate(dataset.Config{
@@ -98,12 +79,12 @@ func main() {
 	} else {
 		arch := zoo.Arch(*model)
 		if _, ok := zoo.AnalyzableLayers[arch]; !ok {
-			fatal("unknown model %q (choose from %s)", *model, archList())
+			run.Check(fmt.Errorf("unknown model %q (choose from %s)", *model, archList()))
 		}
 		var err error
 		net, err = zoo.Load(arch)
 		if err != nil {
-			fatal("loading %s: %v", arch, err)
+			run.Check(fmt.Errorf("loading %s: %w", arch, err))
 		}
 		_, test = zoo.Data(arch)
 	}
@@ -119,7 +100,7 @@ func main() {
 	case "mac":
 		obj = core.MinimizeMACBits
 	default:
-		fatal("unknown objective %q", *objective)
+		run.Check(fmt.Errorf("unknown objective %q", *objective))
 	}
 	sch := search.Scheme1Uniform
 	if *scheme == 2 {
@@ -134,21 +115,13 @@ func main() {
 		Search:    search.Options{Scheme: sch, RelDrop: *drop, EvalImages: *eval, Seed: *seed ^ 0x5eed},
 		Objective: obj,
 		Guard:     true,
-		Workers:   *workers,
-		Kernel:    kpol,
+		Workers:   run.Workers,
+		Kernel:    run.Kernel,
 	})
-	if err != nil {
-		if obs.Interrupted(ctx) {
-			fmt.Fprintln(os.Stderr, "mupod: interrupted")
-			os.Exit(130)
-		}
-		fatal("%v", err)
-	}
-	if err := flushTrace(); err != nil {
-		fatal("writing trace: %v", err)
-	}
-	if *traceOut != "" {
-		fmt.Printf("trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n\n", *traceOut)
+	run.Check(err)
+	run.Finish()
+	if run.Trace != "" {
+		fmt.Printf("trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n\n", run.Trace)
 	}
 
 	al := res.Allocation
@@ -175,7 +148,7 @@ func main() {
 	fmt.Printf("\nREAL quantized inference: accuracy %.3f (constraint ≥ %.3f)\n",
 		acc, res.Search.ExactAccuracy*(1-*drop))
 
-	if w, err := baseline.UniformWeightSearch(net, al, test, baseline.Options{RelDrop: *drop, EvalImages: *eval, Workers: *workers, Kernel: kpol}); err == nil {
+	if w, err := baseline.UniformWeightSearch(net, al, test, baseline.Options{RelDrop: *drop, EvalImages: *eval, Workers: run.Workers, Kernel: run.Kernel}); err == nil {
 		fmt.Printf("uniform weight bitwidth (Sec. V-E): W = %d\n", w)
 		fmt.Printf("MAC energy at W=%d: %.3g pJ/image\n", w, al.MACEnergy(energy.Default40nm, w))
 		// True integer execution: cross-check accuracy and report the
@@ -184,7 +157,7 @@ func main() {
 		if n > test.Len() {
 			n = test.Len()
 		}
-		fxAcc, fxRep, err := fxnet.Accuracy(net, al, fxnet.Config{WeightBits: w, Workers: *workers}, test.Batch(0, n), test.Labels[:n], 32)
+		fxAcc, fxRep, err := fxnet.Accuracy(net, al, fxnet.Config{WeightBits: w, Workers: run.Workers}, test.Batch(0, n), test.Labels[:n], 32)
 		if err == nil {
 			fmt.Printf("integer-datapath inference (W=%d): accuracy %.3f, max accumulator %d bits\n",
 				w, fxAcc, fxRep.MaxAccumulatorBits())
@@ -202,9 +175,4 @@ func archList() string {
 		names[i] = string(a)
 	}
 	return strings.Join(names, ", ")
-}
-
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "mupod: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -11,7 +11,7 @@
 //
 //	mupodd [-addr :8080] [-workers 2] [-queue 64] [-job-workers 0]
 //	       [-tenant-weights a:2,b:1] [-tenant-quota 0]
-//	       [-kernel blocked|parallel|naive] [-intra-workers 0]
+//	       [-kernel blocked|parallel] [-intra-workers 0]
 //	       [-stage-timeout 10m] [-drain-timeout 30s] [-cache 64]
 //	       [-data-dir dir] [-max-attempts 3]
 //	       [-node a -peers a=http://h1:8080,b=http://h2:8080]

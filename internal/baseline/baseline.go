@@ -40,8 +40,8 @@ type Options struct {
 	// dynamic searches (Stripes above all) are dominated by these
 	// evaluations and speed up near-linearly.
 	Workers int
-	// Kernel is the compute backend of every forward pass (zero value =
-	// the default backend).
+	// Kernel is the kernel policy of every forward pass (zero value =
+	// serial).
 	Kernel kernels.Policy
 }
 

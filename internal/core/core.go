@@ -84,12 +84,10 @@ type Config struct {
 	// Search.Workers take precedence when non-zero.
 	Workers int
 
-	// Kernel selects the compute backend for every stage's forward
-	// passes (zero value = default backend, automatic intra-op budget).
-	// Stage-specific policies in Profile.Kernel / Search.Kernel take
-	// precedence when non-zero. "parallel" and IntraWorkers never change
-	// results (kernels.Policy.ResultClass); "naive" does in the last
-	// bits, and so gets its own cache class.
+	// Kernel is the kernel policy of every stage's forward passes (zero
+	// value = serial). Stage-specific policies in Profile.Kernel /
+	// Search.Kernel take precedence when non-zero. Like Workers, no
+	// policy changes results.
 	Kernel kernels.Policy
 }
 

@@ -3,7 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +45,10 @@ func (e *Evaluator) Workers() int { return e.workers }
 //
 // On failure Map cancels the remaining work and returns the error of
 // the lowest-indexed failing item; if the parent context is cancelled
-// before any item fails, the context error is returned.
+// before any item fails, the context error is returned. An item that
+// panics on one of Map's own goroutines fails with the panic value and
+// its stack as its error; inline items panic on the caller's goroutine
+// as usual.
 func (e *Evaluator) Map(ctx context.Context, n int, fn func(ctx context.Context, worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -85,8 +90,15 @@ func (e *Evaluator) Map(ctx context.Context, n int, fn func(ctx context.Context,
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			var i int
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("exec: item %d panicked: %v\n%s", i, r, debug.Stack())
+					cancel()
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -345,6 +346,26 @@ func TestEvaluatorReportsLowestIndexError(t *testing.T) {
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+	}
+}
+
+// TestEvaluatorContainsWorkerPanics: a panic on one of Map's worker
+// goroutines becomes that item's error, with the panic value and
+// stack, instead of killing the process.
+func TestEvaluatorContainsWorkerPanics(t *testing.T) {
+	err := exec.NewEvaluator(2).Map(context.Background(), 8, func(_ context.Context, _, i int) error {
+		if i == 5 {
+			panic("kaboom")
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("panicking item reported no error")
+	}
+	for _, want := range []string{"item 5 panicked", "kaboom", "goroutine"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to contain %q", err, want)
 		}
 	}
 }

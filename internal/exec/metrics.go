@@ -8,8 +8,8 @@ import (
 
 // Metrics is the execution-engine counter set. The engine holds it via
 // a process-wide atomic pointer: when nil (the default) every hot-path
-// hook reduces to one atomic load and a branch, keeping the replay path
-// at its recorded BENCH_exec numbers; see BenchmarkObsDisabled.
+// hook reduces to one atomic load and a branch, so disabled telemetry
+// costs the replay path nothing measurable; see BenchmarkObsDisabled.
 type Metrics struct {
 	// Forwards counts network passes (full forwards, injected
 	// forwards and suffix replays) executed by Sessions.

@@ -72,8 +72,8 @@ func TestEvaluatorItemSpans(t *testing.T) {
 // BenchmarkObsDisabled pins the cost of the telemetry hooks on the
 // Session replay path when telemetry is off: the nil-counter add and
 // the once-per-pass stats flush must each stay around 2 ns/op (sub-ns
-// for the counter) so the recorded BENCH_exec replay numbers — 3.3 ms
-// per replay — are unaffected. With metrics
+// for the counter), negligible next to one replay (perfbench reports
+// its cost as profile.us_per_replay). With metrics
 // detached obs.Start is never reached (Map resolves its telemetry
 // state once and takes a direct-call branch per item); the last
 // sub-benchmark smoke-tests that whole disabled Map round trip.

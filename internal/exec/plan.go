@@ -7,9 +7,12 @@
 //     rescanning every successor on each of the thousands of
 //     profiling replays nn.ReplayFrom performs.
 //   - Session: reusable activation arenas. A replay or forward pass
-//     writes into pooled per-node tensors (via nn.IntoForwarder)
-//     instead of allocating ~len(Nodes) tensors per call. Sessions are
-//     single-goroutine; many sessions share one read-only Plan.
+//     writes into pooled per-node tensors instead of allocating
+//     ~len(Nodes) tensors per call: kernel layers (conv, depthwise
+//     conv, dense, pooling) through nn.BackendForwarder on the
+//     session's kernel backend, the rest (ReLU, flatten, add, concat)
+//     through nn.IntoForwarder. Sessions are single-goroutine; many
+//     sessions share one read-only Plan.
 //   - Evaluator: a bounded worker pool mapping a deterministic work
 //     list across workers. Callers pre-split RNG streams per work item
 //     and reduce in index order, so parallel results are bit-identical

@@ -13,7 +13,7 @@ import (
 // owns one output buffer per node plus one injection buffer per node
 // and a shared float64 scratch (the conv im2col columns), all reused
 // across calls, so the steady-state replay/forward hot path allocates
-// nothing. Dense math dispatches to the kernel backend the Session was
+// nothing. Dense math runs on the kernel backend the Session was
 // created with (see kernels.Policy).
 //
 // A Session is NOT safe for concurrent use; create one per worker
@@ -25,8 +25,7 @@ import (
 // before reusing the Session.
 type Session struct {
 	plan *Plan
-	base kernels.Backend // resolved from the policy at construction
-	be   kernels.Backend // base, possibly trace-wrapped (see Trace)
+	be   kernels.Backend // resolved from the policy; carries the tracer (see Trace)
 
 	cur     []*tensor.Tensor   // per-call activation view, indexed by node ID
 	bufs    []*tensor.Tensor   // pooled output buffer per node
@@ -45,15 +44,14 @@ type Session struct {
 func NewSession(p *Plan) *Session { return NewSessionPolicy(p, kernels.Policy{}) }
 
 // NewSessionPolicy creates an execution session computing on the kernel
-// backend named by pol. The policy must be valid (validate upstream);
-// an unknown backend panics here rather than silently falling back.
+// backend pol resolves to. The policy must be valid (validate
+// upstream); an unknown name panics here rather than silently falling
+// back.
 func NewSessionPolicy(p *Plan, pol kernels.Policy) *Session {
 	n := len(p.net.Nodes)
-	be := kernels.MustNew(pol)
 	s := &Session{
 		plan:   p,
-		base:   be,
-		be:     be,
+		be:     kernels.MustNew(pol),
 		cur:    make([]*tensor.Tensor, n),
 		bufs:   make([]*tensor.Tensor, n),
 		inbufs: make([]*tensor.Tensor, n),
@@ -68,11 +66,7 @@ func NewSessionPolicy(p *Plan, pol kernels.Policy) *Session {
 // Trace makes subsequent passes record kernel-level spans on the tracer
 // carried by ctx (no-op, and zero ongoing cost, when ctx carries none).
 // Tracing observes only — results are bit-identical either way.
-func (s *Session) Trace(ctx context.Context) { s.be = kernels.Traced(ctx, s.base) }
-
-// Backend returns the name of the kernel backend this session computes
-// on.
-func (s *Session) Backend() string { return s.base.Name() }
+func (s *Session) Trace(ctx context.Context) { s.be = kernels.Traced(ctx, s.be) }
 
 // Plan returns the plan this session executes.
 func (s *Session) Plan() *Plan { return s.plan }
@@ -117,10 +111,10 @@ func (s *Session) gather(nd *nn.Node) []*tensor.Tensor {
 	return ins
 }
 
-// step executes node id with layer l into its pooled buffer on the
-// session's kernel backend (falling back to plain ForwardInto, then to
-// the layer's allocating Forward, for layers outside the kernel layer)
-// and records the result in cur.
+// step executes node id with layer l into its pooled buffer — on the
+// session's kernel backend for kernel layers, with ForwardInto for the
+// rest, and with the layer's allocating Forward for layers that have
+// neither — and records the result in cur.
 func (s *Session) step(l nn.Layer, id int, ins []*tensor.Tensor, batch int) {
 	if f, ok := l.(nn.BackendForwarder); ok {
 		out := s.buf(id, batch)

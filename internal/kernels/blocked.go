@@ -3,34 +3,69 @@ package kernels
 import (
 	"math"
 	"sync"
+	"sync/atomic"
+
+	"mupod/internal/obs"
 )
 
-func init() {
-	Register("blocked", func(int) Backend { return blockedBackend{} })
-}
-
-// blockedBackend is the cache-blocked, register-tiled pure-Go
-// implementation: GEMM packs B into 4-column panels that stay resident
-// in L1 while a 2×4 micro-kernel streams A rows through 8 register
+// The kernels below pack B into 4-column panels that stay resident in
+// L1 while a 2×4 micro-kernel streams A rows through 8 register
 // accumulators; depthwise conv hoists the padding bounds out of the
 // innermost loops and shares them across four planes; dense unrolls 4
-// output rows per x sweep.
-//
-// Every output element is still bias + Σ terms in the same ascending
-// order as the scalar code (see the package reduction-order contract),
-// so any column/row decomposition — including the parallel backend's —
-// produces identical bits.
-type blockedBackend struct{}
+// output rows per x sweep. Every output element is still bias + Σ terms
+// in the ascending order of the scalar loops (see the package
+// reduction-order contract), so any column/row decomposition produces
+// identical bits.
 
-// Name implements Backend.
-func (blockedBackend) Name() string { return "blocked" }
+// minParallelMACs is the work floor under which sharding costs more
+// than it saves and a call runs serially.
+const minParallelMACs = 1 << 15
+
+// traceMinMACs gates GEMM spans by problem size: only GEMMs doing at
+// least this many multiply-accumulates are recorded, so tiny
+// replay-loop convolutions cannot flood the bounded span buffer.
+const traceMinMACs = 1 << 18
+
+// gemmChunk is the column span of one GEMM work unit (a multiple of
+// the panel width nr, so every shard start stays panel-aligned).
+const gemmChunk = 256
+
+// runShards executes f(0..units-1) across at most `workers` goroutines
+// pulling from an atomic counter.
+func runShards(workers, units int, f func(u int)) {
+	if workers > units {
+		workers = units
+	}
+	if workers <= 1 {
+		for u := 0; u < units; u++ {
+			f(u)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				u := int(next.Add(1)) - 1
+				if u >= units {
+					return
+				}
+				f(u)
+			}
+		}()
+	}
+	wg.Wait()
+}
 
 // nr is the panel width: columns of B packed contiguously per l so the
 // micro-kernel reads them as one cache line.
 const nr = 4
 
 // packPool recycles panel buffers (k·nr floats) across GEMM calls and
-// across the parallel backend's workers.
+// shards, and im2col's padded images.
 var packPool = sync.Pool{New: func() any { return new([]float64) }}
 
 func getPack(n int) []float64 {
@@ -45,17 +80,37 @@ func putPack(buf []float64) {
 	packPool.Put(&buf)
 }
 
-// GEMM implements Backend.
-func (blockedBackend) GEMM(m, n, k int, a, b, bias, c []float64) {
-	countDispatch(implBlocked, opGEMM)
-	pack := getPack(k * nr)
-	gemmBlockedCols(m, n, k, a, b, bias, c, 0, n, pack)
-	putPack(pack)
+// GEMM computes c[i*n+j] = bias[i] + Σ_l a[i*k+l]·b[l*n+j] for i<m,
+// j<n, overwriting c. bias may be nil (treated as zero). The
+// per-element reduction runs in ascending l. With 2+ workers, nr-aligned
+// column chunks shard across them, one packed panel buffer per chunk.
+func (be Backend) GEMM(m, n, k int, a, b, bias, c []float64) {
+	if be.ctx != nil && m*n*k >= traceMinMACs {
+		_, sp := obs.Start(be.ctx, "kernels.gemm",
+			obs.KV("impl", be.Name()), obs.KV("m", m), obs.KV("n", n), obs.KV("k", k))
+		be.ctx = nil
+		be.GEMM(m, n, k, a, b, bias, c)
+		sp.End()
+		return
+	}
+	countDispatch(be.impl, opGEMM)
+	if be.workers < 2 || m*n*k < minParallelMACs || n < 2*nr {
+		pack := getPack(k * nr)
+		gemmBlockedCols(m, n, k, a, b, bias, c, 0, n, pack)
+		putPack(pack)
+		return
+	}
+	runShards(be.workers, (n+gemmChunk-1)/gemmChunk, func(u int) {
+		j0 := u * gemmChunk
+		pack := getPack(k * nr)
+		gemmBlockedCols(m, n, k, a, b, bias, c, j0, min(j0+gemmChunk, n), pack)
+		putPack(pack)
+	})
 }
 
 // gemmBlockedCols computes output columns [j0, j1) of the m×n result.
-// j0 must be a multiple of nr. The parallel backend calls it with
-// nr-aligned sub-ranges; identical bits regardless of the split.
+// j0 must be a multiple of nr. GEMM's shards call it with nr-aligned
+// sub-ranges; identical bits regardless of the split.
 func gemmBlockedCols(m, n, k int, a, b, bias, c []float64, j0, j1 int, pack []float64) {
 	j := j0
 	for ; j+nr <= j1; j += nr {
@@ -230,28 +285,96 @@ func kern1x4(k int, a, pack []float64, c []float64, bias float64) {
 	c[0], c[1], c[2], c[3] = acc0, acc1, acc2, acc3
 }
 
-// Im2col implements Backend.
-func (blockedBackend) Im2col(g ConvGeom, inC int, x, cols []float64) {
-	countDispatch(implBlocked, opIm2col)
-	im2col(g, inC, x, cols)
+// Im2col packs the receptive fields of one [inC, H, W] image x into a
+// [inC·K·K, OH·OW] column matrix (zero padding materialized). The image
+// is padded once; with 2+ workers the input channels shard, each
+// filling its own K·K rows.
+func (be Backend) Im2col(g ConvGeom, inC int, x, cols []float64) {
+	countDispatch(be.impl, opIm2col)
+	xp, off := im2colSetup(g, inC, x)
+	pp, rows := len(xp)/inC, g.K*g.K*len(*off)
+	if be.workers < 2 || inC < 2 || inC*g.K*g.K*g.OH*g.OW < minParallelMACs {
+		for ic := 0; ic < inC; ic++ {
+			im2colChannel(g, xp[ic*pp:(ic+1)*pp], *off, cols[ic*rows:(ic+1)*rows])
+		}
+	} else {
+		runShards(be.workers, inC, func(ic int) {
+			im2colChannel(g, xp[ic*pp:(ic+1)*pp], *off, cols[ic*rows:(ic+1)*rows])
+		})
+	}
+	putPack(xp)
+	offPool.Put(off)
 }
 
-// DWConv implements Backend with the padding bounds hoisted: the valid
+// offPool recycles im2col's receptive-field offset lists.
+var offPool = sync.Pool{New: func() any { return new([]int) }}
+
+// im2colSetup pads once: it copies the [inC, H, W] image x into a
+// zero-bordered [inC, H+2·Pad, W+2·Pad] buffer from the pack pool, so
+// every receptive field lies inside it, and lists where each output
+// pixel's field starts in one padded plane: off[oy·OW+ox] =
+// oy·Stride·(W+2·Pad) + ox·Stride. Release xp with putPack and off with
+// offPool.Put.
+func im2colSetup(g ConvGeom, inC int, x []float64) (xp []float64, off *[]int) {
+	hp, wp := g.H+2*g.Pad, g.W+2*g.Pad
+	xp = getPack(inC * hp * wp)
+	clear(xp)
+	for ic := 0; ic < inC; ic++ {
+		for ih := 0; ih < g.H; ih++ {
+			copy(xp[(ic*hp+ih+g.Pad)*wp+g.Pad:], x[(ic*g.H+ih)*g.W:][:g.W])
+		}
+	}
+	off = offPool.Get().(*[]int)
+	*off = (*off)[:0]
+	for oy := 0; oy < g.OH; oy++ {
+		for ox := 0; ox < g.OW; ox++ {
+			*off = append(*off, oy*g.Stride*wp+ox*g.Stride)
+		}
+	}
+	return xp, off
+}
+
+// im2colChannel fills the K·K column-matrix rows of one input channel
+// into dst ([K·K, OH·OW]) from its padded plane xp, with no bounds test
+// per element.
+func im2colChannel(g ConvGeom, xp []float64, off []int, dst []float64) {
+	wp := g.W + 2*g.Pad
+	for kh := 0; kh < g.K; kh++ {
+		for kw := 0; kw < g.K; kw++ {
+			src := xp[kh*wp+kw:]
+			d := dst[(kh*g.K+kw)*len(off):][:len(off)]
+			for i, o := range off {
+				d[i] = src[o]
+			}
+		}
+	}
+}
+
+// DWConv computes a depthwise convolution over x [batch, channels, H,
+// W] with weights w [channels, K, K] and per-channel bias into out
+// [batch, channels, OH, OW]. The padding bounds are hoisted: the valid
 // kh range is computed once per output row and the valid kw range once
 // per output column, so the innermost loop is branch-free. Skipping
-// out-of-range taps arithmetically instead of per-pixel keeps the
-// included terms and their order identical to the naive loops — all
-// backends are bit-identical on depthwise conv.
-func (blockedBackend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out []float64) {
-	countDispatch(implBlocked, opDWConv)
-	dwconvHoisted(g, 0, batch*channels, channels, x, w, bias, out)
+// out-of-range taps arithmetically instead of per pixel keeps the
+// included terms and their order those of a bounds-checked loop. With
+// 2+ workers the planes shard in groups of four.
+func (be Backend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out []float64) {
+	countDispatch(be.impl, opDWConv)
+	planes := batch * channels
+	if be.workers < 2 || planes < 2 || planes*g.OH*g.OW*g.K*g.K < minParallelMACs {
+		dwconvHoisted(g, 0, planes, channels, x, w, bias, out)
+		return
+	}
+	runShards(be.workers, (planes+3)/4, func(u int) {
+		dwconvHoisted(g, 4*u, min(4*u+4, planes), channels, x, w, bias, out)
+	})
 }
 
 // dwconvHoisted computes channel planes [p0, p1) of the flattened
 // (batch·channels) plane index space, four planes per pass: the four
 // accumulators share the hoisted bounds, and a short last group repeats
 // its final plane in the spare lanes, whose results only rewrite that
-// plane's own values. The parallel backend shards it in groups of four.
+// plane's own values.
 func dwconvHoisted(g ConvGeom, p0, p1, channels int, x, w, bias, out []float64) {
 	H, W, K := g.H, g.W, g.K
 	for p := p0; p < p1; p += 4 {
@@ -290,19 +413,36 @@ func dwconvHoisted(g ConvGeom, p0, p1, channels int, x, w, bias, out []float64) 
 	}
 }
 
-// Dense implements Backend: 4 output rows share each sweep of x, with
-// one independent ascending-i accumulator per output element — the
-// same per-element order as naive, so dense results are bit-identical
-// across all backends.
-func (blockedBackend) Dense(batch, in, out int, x, w, bias, y []float64) {
-	countDispatch(implBlocked, opDense)
+// Dense computes y[r*out+o] = bias[o] + Σ_i w[o*in+i]·x[r*in+i] for
+// r<batch, o<out (bias may be nil): 4 output rows share each sweep of
+// x, with one independent ascending-i accumulator per output element.
+// With 2+ workers, batch rows shard when the batch is wide enough,
+// otherwise output-quad chunks within each row.
+func (be Backend) Dense(batch, in, out int, x, w, bias, y []float64) {
+	countDispatch(be.impl, opDense)
+	if be.workers < 2 || batch*in*out < minParallelMACs {
+		for n := 0; n < batch; n++ {
+			denseRows(n, in, out, 0, out, x, w, bias, y)
+		}
+		return
+	}
+	if batch >= be.workers {
+		runShards(be.workers, batch, func(n int) {
+			denseRows(n, in, out, 0, out, x, w, bias, y)
+		})
+		return
+	}
+	const outChunk = 64 // multiple of 4: quad grouping matches serial
+	units := (out + outChunk - 1) / outChunk
 	for n := 0; n < batch; n++ {
-		denseRows(n, in, out, 0, out, x, w, bias, y)
+		runShards(be.workers, units, func(u int) {
+			denseRows(n, in, out, u*outChunk, min((u+1)*outChunk, out), x, w, bias, y)
+		})
 	}
 }
 
-// denseRows computes outputs [o0, o1) of batch row n; the parallel
-// backend shards over output ranges.
+// denseRows computes outputs [o0, o1) of batch row n; Dense shards over
+// output ranges.
 func denseRows(n, in, out, o0, o1 int, x, w, bias, y []float64) {
 	xRow := x[n*in : (n+1)*in]
 	o := o0
@@ -337,9 +477,10 @@ func denseRows(n, in, out, o0, o1 int, x, w, bias, y []float64) {
 	}
 }
 
-// Axpy implements Backend (order-preserving, 4-way unrolled).
-func (blockedBackend) Axpy(alpha float64, x, y []float64) {
-	countDispatch(implBlocked, opAxpy)
+// Axpy computes y[i] += alpha·x[i] over len(x) elements, serially
+// (memory-bound, not worth sharding), 4-way unrolled in order.
+func (be Backend) Axpy(alpha float64, x, y []float64) {
+	countDispatch(be.impl, opAxpy)
 	y = y[:len(x)]
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
@@ -353,11 +494,11 @@ func (blockedBackend) Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Dot implements Backend. A single accumulator keeps the ascending-i
-// reduction order of the contract (multi-accumulator unrolls would
-// reassociate the sum).
-func (blockedBackend) Dot(x, y []float64) float64 {
-	countDispatch(implBlocked, opDot)
+// Dot returns Σ x[i]·y[i] accumulated in ascending i. A single
+// accumulator keeps the contract's order, so the sum is never sharded
+// (multi-accumulator unrolls would reassociate it).
+func (be Backend) Dot(x, y []float64) float64 {
+	countDispatch(be.impl, opDot)
 	acc := 0.0
 	for i, xv := range x {
 		acc += xv * y[i]
@@ -365,10 +506,16 @@ func (blockedBackend) Dot(x, y []float64) float64 {
 	return acc
 }
 
-// Fan implements Backend: sequential (this backend is serial).
-func (blockedBackend) Fan(n int, f func(i int)) {
-	countDispatch(implBlocked, opFan)
-	for i := 0; i < n; i++ {
-		f(i)
+// Fan runs f(0..n-1), each call writing a disjoint slice of the
+// output: inline below 2 workers, otherwise sharded across them. Calls
+// may run in any order and concurrently; f must not depend on ordering.
+func (be Backend) Fan(n int, f func(i int)) {
+	countDispatch(be.impl, opFan)
+	if be.workers < 2 || n < 2 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
 	}
+	runShards(be.workers, n, f)
 }

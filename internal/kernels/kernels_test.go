@@ -1,14 +1,14 @@
 package kernels
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"strconv"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"mupod/internal/obs"
 )
@@ -18,13 +18,13 @@ func fill(r *rand.Rand, n int) []float64 {
 	for i := range s {
 		s[i] = r.NormFloat64()
 		if r.Intn(8) == 0 {
-			s[i] = 0 // exercise naive's zero-skip path
+			s[i] = 0 // exact zeros, as ReLU outputs carry
 		}
 	}
 	return s
 }
 
-// refGEMM is the plain ijk triple loop every backend is checked
+// refGEMM is the plain ijk triple loop every policy is checked
 // against.
 func refGEMM(m, n, k int, a, b, bias, c []float64) {
 	for i := 0; i < m; i++ {
@@ -51,6 +51,8 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
+// backendsUnderTest resolves every policy name at 1 and 4 intra-op
+// workers.
 func backendsUnderTest(t *testing.T) map[string]Backend {
 	t.Helper()
 	out := map[string]Backend{}
@@ -78,22 +80,20 @@ func TestGEMMEquivalence(t *testing.T) {
 		bias := fill(r, sh.m)
 		want := make([]float64, sh.m*sh.n)
 		refGEMM(sh.m, sh.n, sh.k, a, b, bias, want)
-		blockedOut := make([]float64, sh.m*sh.n)
-		blockedBackend{}.GEMM(sh.m, sh.n, sh.k, a, b, bias, blockedOut)
+		serial := make([]float64, sh.m*sh.n)
+		Default().GEMM(sh.m, sh.n, sh.k, a, b, bias, serial)
 		for name, be := range backendsUnderTest(t) {
 			got := make([]float64, sh.m*sh.n)
 			be.GEMM(sh.m, sh.n, sh.k, a, b, bias, got)
 			if d := maxAbsDiff(got, want); d > 1e-9 {
 				t.Errorf("%s GEMM %dx%dx%d: max diff %g vs reference", name, sh.m, sh.n, sh.k, d)
 			}
-			// parallel must be bit-identical to blocked at any worker
-			// count (disjoint-shard contract).
-			if be.Name() == "parallel" {
-				for i := range got {
-					if got[i] != blockedOut[i] {
-						t.Fatalf("%s GEMM %dx%dx%d: not bit-identical to blocked at index %d: %x vs %x",
-							name, sh.m, sh.n, sh.k, i, math.Float64bits(got[i]), math.Float64bits(blockedOut[i]))
-					}
+			// Every policy and worker count gives the serial bits
+			// (disjoint-shard contract).
+			for i := range got {
+				if got[i] != serial[i] {
+					t.Fatalf("%s GEMM %dx%dx%d: not bit-identical to serial at index %d: %x vs %x",
+						name, sh.m, sh.n, sh.k, i, math.Float64bits(got[i]), math.Float64bits(serial[i]))
 				}
 			}
 		}
@@ -101,9 +101,9 @@ func TestGEMMEquivalence(t *testing.T) {
 		noBias := make([]float64, sh.m*sh.n)
 		refGEMM(sh.m, sh.n, sh.k, a, b, nil, noBias)
 		got := make([]float64, sh.m*sh.n)
-		blockedBackend{}.GEMM(sh.m, sh.n, sh.k, a, b, nil, got)
+		Default().GEMM(sh.m, sh.n, sh.k, a, b, nil, got)
 		if d := maxAbsDiff(got, noBias); d > 1e-9 {
-			t.Errorf("blocked GEMM nil bias %dx%dx%d: max diff %g", sh.m, sh.n, sh.k, d)
+			t.Errorf("GEMM nil bias %dx%dx%d: max diff %g", sh.m, sh.n, sh.k, d)
 		}
 	}
 }
@@ -179,12 +179,26 @@ func TestDWConvEquivalence(t *testing.T) {
 			got := make([]float64, len(want))
 			be.DWConv(g, tc.batch, tc.channels, x, w, bias, got)
 			// Hoisting the bounds only removes excluded terms, so every
-			// backend is bit-identical on depthwise conv.
+			// policy matches the reference bit for bit.
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("case %d %s DWConv: mismatch at %d: got %v want %v", ci, name, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// refDense is the plain per-output ascending-i dot every policy's Dense
+// is checked against.
+func refDense(batch, in, out int, x, w, bias, y []float64) {
+	for n := 0; n < batch; n++ {
+		for o := 0; o < out; o++ {
+			acc := bias[o]
+			for i := 0; i < in; i++ {
+				acc += w[o*in+i] * x[n*in+i]
+			}
+			y[n*out+o] = acc
 		}
 	}
 }
@@ -199,12 +213,12 @@ func TestDenseEquivalence(t *testing.T) {
 		w := fill(r, tc.out*tc.in)
 		bias := fill(r, tc.out)
 		want := make([]float64, tc.batch*tc.out)
-		naiveBackend{}.Dense(tc.batch, tc.in, tc.out, x, w, bias, want)
+		refDense(tc.batch, tc.in, tc.out, x, w, bias, want)
 		for name, be := range backendsUnderTest(t) {
 			got := make([]float64, len(want))
 			be.Dense(tc.batch, tc.in, tc.out, x, w, bias, got)
-			// Per-element ascending-i order is shared by every backend:
-			// dense is bit-identical across the board.
+			// Each output keeps the reference's ascending-i order, so
+			// dense matches it bit for bit.
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%s Dense %v: mismatch at %d: got %v want %v", name, tc, i, got[i], want[i])
@@ -214,7 +228,7 @@ func TestDenseEquivalence(t *testing.T) {
 	}
 }
 
-// refIm2col is the bounds-checked per-element lowering every backend's
+// refIm2col is the bounds-checked per-element lowering every policy's
 // Im2col is checked against: each column-matrix entry is read from the
 // image or, outside it, set to zero.
 func refIm2col(g ConvGeom, inC int, x, cols []float64) {
@@ -238,7 +252,7 @@ func refIm2col(g ConvGeom, inC int, x, cols []float64) {
 	}
 }
 
-// checkIm2col compares every backend's Im2col with refIm2col bit for
+// checkIm2col compares every policy's Im2col with refIm2col bit for
 // bit, into a column buffer holding stale data.
 func checkIm2col(t *testing.T, g ConvGeom, inC int, x []float64) {
 	t.Helper()
@@ -320,7 +334,7 @@ func TestFanRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestIntraPoolRaceHammer drives the parallel backend from many
+// TestIntraPoolRaceHammer drives a sharding backend from many
 // goroutines at once (run under -race in CI's kernels job).
 func TestIntraPoolRaceHammer(t *testing.T) {
 	be := MustNew(Policy{Impl: "parallel", IntraWorkers: 4})
@@ -330,13 +344,13 @@ func TestIntraPoolRaceHammer(t *testing.T) {
 	b := fill(r, k*n)
 	bias := fill(r, m)
 	want := make([]float64, m*n)
-	blockedBackend{}.GEMM(m, n, k, a, b, bias, want)
+	Default().GEMM(m, n, k, a, b, bias, want)
 	g := geom(16, 16, 3, 1, 1)
 	xdw := fill(r, 2*8*g.H*g.W)
 	wdw := fill(r, 8*g.K*g.K)
 	bdw := fill(r, 8)
 	wantDW := make([]float64, 2*8*g.OH*g.OW)
-	blockedBackend{}.DWConv(g, 2, 8, xdw, wdw, bdw, wantDW)
+	Default().DWConv(g, 2, 8, xdw, wdw, bdw, wantDW)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -376,29 +390,29 @@ func TestPolicy(t *testing.T) {
 	if err := (Policy{IntraWorkers: -1}).Validate(); err == nil {
 		t.Fatal("negative workers accepted")
 	}
-	if got := (Policy{Impl: "parallel", IntraWorkers: 9}).ResultClass(); got != (Policy{Impl: "blocked"}) {
-		t.Fatalf("parallel result class = %+v", got)
+	if err := (Policy{Impl: "naive"}).Validate(); err == nil {
+		t.Fatal("retired naive backend accepted")
 	}
-	if got := (Policy{}).ResultClass(); got != (Policy{Impl: DefaultImpl}) {
-		t.Fatalf("default result class = %+v", got)
+	if got, want := Names(), []string{"blocked", "parallel"}; !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	if got := (Policy{Impl: "naive", IntraWorkers: 3}).ResultClass(); got != (Policy{Impl: "naive"}) {
-		t.Fatalf("naive result class = %+v", got)
+	if Default() != MustNew(Policy{}) || Default().Name() != DefaultImpl {
+		t.Fatalf("Default() = %+v, want the zero policy's backend %q", Default(), DefaultImpl)
 	}
-	names := Names()
-	for _, want := range []string{"naive", "blocked", "parallel"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
+	// A policy only sets the worker count of a call.
+	for _, tc := range []struct {
+		p       Policy
+		workers int
+	}{
+		{Policy{}, 0},
+		{Policy{Impl: "blocked", IntraWorkers: 4}, 0},
+		{Policy{Impl: "parallel", IntraWorkers: 3}, 3},
+		{Policy{Impl: "parallel"}, IntraBudget(1)},
+	} {
+		be := MustNew(tc.p)
+		if be.workers != tc.workers || be.Name() != cmp.Or(tc.p.Impl, DefaultImpl) {
+			t.Errorf("MustNew(%+v) = %+v, want %d workers named %q", tc.p, be, tc.workers, cmp.Or(tc.p.Impl, DefaultImpl))
 		}
-		if !found {
-			t.Fatalf("backend %q not registered (have %v)", want, names)
-		}
-	}
-	if Default().Name() != DefaultImpl {
-		t.Fatalf("Default() = %s", Default().Name())
 	}
 	if b := IntraBudget(0); b < 1 {
 		t.Fatalf("IntraBudget(0) = %d", b)
@@ -420,18 +434,63 @@ func TestDispatchMetrics(t *testing.T) {
 	if got := m.Dispatch("blocked", "dot").Value(); got != 1 {
 		t.Fatalf("dot dispatch count = %d", got)
 	}
-	if m.Dispatch("blocked", "nope") != nil || m.Dispatch("nope", "gemm") != nil {
+	// Calls count under the policy name they were resolved from.
+	MustNew(Policy{Impl: "parallel", IntraWorkers: 2}).Dot(a, a)
+	if got := m.Dispatch("parallel", "dot").Value(); got != 1 {
+		t.Fatalf("parallel dot dispatch count = %d", got)
+	}
+	if m.Dispatch("blocked", "nope") != nil || m.Dispatch("nope", "gemm") != nil || m.Dispatch("naive", "gemm") != nil {
 		t.Fatal("unknown labels should return nil")
 	}
 }
 
-// alexConv2 is the 64×576×3136 GEMM of AlexNet's (scaled) conv2: the
-// shape the CI bench smoke and BENCH_kernels.json gate on.
+// TestTracedGEMM: a traced backend records one "kernels.gemm" span per
+// GEMM of at least traceMinMACs and none for smaller calls, counts each
+// call once, and computes the untraced bits.
+func TestTracedGEMM(t *testing.T) {
+	r := obs.NewRegistry()
+	metrics := EnableMetrics(r)
+	defer DisableMetrics()
+	tr := obs.NewTracer(0)
+	ctx := obs.WithTracer(context.Background(), tr)
+	const m, n, k = 8, 256, 128 // m·n·k = traceMinMACs
+	a, b, bias, want := gemmInputs(m, n, k)
+	MustNew(Policy{Impl: "parallel", IntraWorkers: 2}).GEMM(m, n, k, a, b, bias, want)
+
+	be := Traced(ctx, MustNew(Policy{Impl: "parallel", IntraWorkers: 2}))
+	got := make([]float64, m*n)
+	be.GEMM(m, n, k, a, b, bias, got)
+	be.GEMM(2, 2, 2, a, b, nil, make([]float64, 4)) // below the gate
+	if !slices.Equal(got, want) {
+		t.Fatal("traced GEMM changed the result")
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Name != "kernels.gemm" {
+		t.Fatalf("recorded %d spans (%v), want one kernels.gemm", len(spans), spans)
+	}
+	attrs := map[string]any{}
+	for _, at := range spans[0].Attrs {
+		attrs[at.Key] = at.Value
+	}
+	if attrs["impl"] != "parallel" || attrs["m"] != m || attrs["n"] != n || attrs["k"] != k {
+		t.Errorf("span attrs = %v", attrs)
+	}
+	if got := metrics.Dispatch("parallel", "gemm").Value(); got != 3 {
+		t.Errorf("gemm dispatch count = %d, want 3 (one per call)", got)
+	}
+	// A context without a tracer, or re-tracing with one, drops the span
+	// carrier again.
+	if untraced := Traced(context.Background(), be); untraced != MustNew(Policy{Impl: "parallel", IntraWorkers: 2}) {
+		t.Errorf("Traced without a tracer = %+v", untraced)
+	}
+}
+
+// alexConv2 is the 64×576×3136 GEMM of AlexNet's (scaled) conv2, the
+// shape perfbench's kernels.gemm_peak_gflops measures.
 const alexM, alexK, alexN = 64, 576, 3136
 
-// gemmInputs builds dense (no exact zeros) operands: He-style random
-// weights are never exactly zero, so benching with zero-injected data
-// would hand naive's zero-skip an unrealistic advantage.
+// gemmInputs builds operands with no exact zeros, like He-initialized
+// weights.
 func gemmInputs(m, n, k int) (a, b, bias, c []float64) {
 	r := rand.New(rand.NewSource(6))
 	dense := func(n int) []float64 {
@@ -444,52 +503,10 @@ func gemmInputs(m, n, k int) (a, b, bias, c []float64) {
 	return dense(m * k), dense(k * n), dense(m), make([]float64, m*n)
 }
 
-// TestBlockedFasterThanNaiveSmoke is the perf gate: blocked must beat
-// naive on the AlexNet conv2 GEMM shape. Best-of-3 timings damp
-// scheduler noise. The default bar is a deliberately loose 1.05× so a
-// GOAMD64=v1 build (where math.FMA pays a per-site hardware check, see
-// the package docs) still passes on a noisy shared core; CI builds
-// with GOAMD64=v3 and raises the bar via MUPOD_GEMM_SPEEDUP_MIN. The
-// recorded speedup on an idle core at v3 is ≥2× (BENCH_kernels.json).
-func TestBlockedFasterThanNaiveSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf smoke skipped in -short")
-	}
-	minSpeedup := 1.05
-	if s := os.Getenv("MUPOD_GEMM_SPEEDUP_MIN"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("bad MUPOD_GEMM_SPEEDUP_MIN %q: %v", s, err)
-		}
-		minSpeedup = v
-	}
-	a, b, bias, c := gemmInputs(alexM, alexN, alexK)
-	timeBest := func(be Backend) time.Duration {
-		be.GEMM(alexM, alexN, alexK, a, b, bias, c) // warm caches
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			be.GEMM(alexM, alexN, alexK, a, b, bias, c)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	naive := timeBest(naiveBackend{})
-	blocked := timeBest(blockedBackend{})
-	speedup := float64(naive) / float64(blocked)
-	t.Logf("GEMM %dx%dx%d: naive %v, blocked %v (%.2fx)", alexM, alexN, alexK, naive, blocked, speedup)
-	if speedup <= minSpeedup {
-		t.Fatalf("blocked GEMM not faster than naive on %dx%dx%d: naive %v, blocked %v (%.2fx, want >%.2fx)",
-			alexM, alexN, alexK, naive, blocked, speedup, minSpeedup)
-	}
-}
-
 func BenchmarkGEMMBackends(b *testing.B) {
 	a, bb, bias, c := gemmInputs(alexM, alexN, alexK)
-	for _, name := range []string{"naive", "blocked", "parallel"} {
-		be := MustNew(Policy{Impl: name, IntraWorkers: 0})
+	for _, name := range Names() {
+		be := MustNew(Policy{Impl: name})
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(8 * (alexM*alexK + alexK*alexN + alexM*alexN)))
 			for i := 0; i < b.N; i++ {
@@ -514,7 +531,7 @@ func BenchmarkDWConvBackends(b *testing.B) {
 		w := fill(r, tc.channels*g.K*g.K)
 		bias := fill(r, tc.channels)
 		out := make([]float64, batch*tc.channels*g.OH*g.OW)
-		for _, name := range []string{"naive", "blocked", "parallel"} {
+		for _, name := range Names() {
 			be := MustNew(Policy{Impl: name})
 			b.Run(name+tc.suffix, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

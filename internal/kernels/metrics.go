@@ -6,20 +6,20 @@ import (
 	"mupod/internal/obs"
 )
 
-// implID / opID index the dispatch counter matrix. The hot-path hook
-// is one atomic pointer load, a branch, and (when enabled) one counter
+// implID / opID index the dispatch counter matrix. implID is the
+// policy name a Backend was resolved from. The hot-path hook is one
+// atomic pointer load, a branch, and (when enabled) one counter
 // increment per layer-level kernel call — never per inner-loop
 // iteration.
 type implID int
 
 const (
-	implNaive implID = iota
-	implBlocked
+	implBlocked implID = iota // zero: the default policy
 	implParallel
 	numImpls
 )
 
-var implNames = [numImpls]string{"naive", "blocked", "parallel"}
+var implNames = [numImpls]string{"blocked", "parallel"}
 
 type opID int
 
@@ -38,7 +38,7 @@ var opNames = [numOps]string{"gemm", "im2col", "dwconv", "dense", "axpy", "dot",
 
 // Metrics is the kernel-layer counter set:
 // mupod_kernel_dispatch_total{impl,op} counts kernel invocations per
-// backend implementation and operation.
+// policy name and operation.
 type Metrics struct {
 	dispatch [numImpls][numOps]*obs.Counter
 }

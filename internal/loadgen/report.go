@@ -12,8 +12,8 @@ import (
 	"mupod/internal/obs"
 )
 
-// Report is the BENCH_loadgen.json schema — the durable record of one
-// load-generation run.
+// Report is the schema of mupod-loadgen's -out JSON file — the durable
+// record of one load-generation run.
 type Report struct {
 	Description    string  `json:"description"`
 	Mode           string  `json:"mode"`

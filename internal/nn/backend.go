@@ -71,7 +71,7 @@ func (d *Dense) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *ten
 }
 
 // ForwardIntoOn implements BackendForwarder: each of the N·C planes is
-// an independent fan unit, so the parallel backend shards pooling
+// an independent fan unit, so a "parallel" backend shards pooling
 // across its intra-op workers (per-plane loops are order-free —
 // identical bits at any worker count).
 func (p *MaxPool2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mupod/internal/kernels"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 )
@@ -86,7 +87,7 @@ func (c *Conv2D) Params() []Param {
 func (c *Conv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 	checkInputs("conv", ins, 1)
 	out := tensor.New(c.OutShape([][]int{ins[0].Shape})...)
-	c.ForwardInto(ins, out, nil)
+	c.ForwardIntoOn(kernels.Default(), ins, out, nil)
 	return out
 }
 
@@ -203,7 +204,7 @@ func (d *DepthwiseConv2D) Params() []Param {
 func (d *DepthwiseConv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 	checkInputs("dwconv", ins, 1)
 	out := tensor.New(d.OutShape([][]int{ins[0].Shape})...)
-	d.ForwardInto(ins, out, nil)
+	d.ForwardIntoOn(kernels.Default(), ins, out, nil)
 	return out
 }
 

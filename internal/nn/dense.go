@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mupod/internal/kernels"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 )
@@ -68,7 +69,7 @@ func (d *Dense) Params() []Param {
 func (d *Dense) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 	checkInputs("fc", ins, 1)
 	out := tensor.New(ins[0].Shape[0], d.Out)
-	d.ForwardInto(ins, out, nil)
+	d.ForwardIntoOn(kernels.Default(), ins, out, nil)
 	return out
 }
 

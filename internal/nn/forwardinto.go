@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"mupod/internal/kernels"
 	"mupod/internal/tensor"
 )
 
@@ -20,9 +19,8 @@ import (
 // needed and return it so the caller can pass it back next call.
 // Implementations that need no temporaries return scratch unchanged.
 //
-// Layers whose math lives in internal/kernels also implement
-// BackendForwarder; their ForwardInto is ForwardIntoOn on the default
-// backend.
+// Layers whose math lives in internal/kernels implement
+// BackendForwarder instead.
 type IntoForwarder interface {
 	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
 }
@@ -34,21 +32,6 @@ func growScratch(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// ForwardInto implements IntoForwarder.
-func (c *Conv2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return c.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (d *DepthwiseConv2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return d.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (d *Dense) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return d.ForwardIntoOn(kernels.Default(), ins, out, scratch)
 }
 
 // ForwardInto implements IntoForwarder.
@@ -115,21 +98,6 @@ func avgPoolPlane(x, out []float64, base, oBase, w, oh, ow, k, stride int, inv f
 			out[oBase+oy*ow+ox] = acc * inv
 		}
 	}
-}
-
-// ForwardInto implements IntoForwarder.
-func (p *MaxPool2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return p.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (p *AvgPool2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return p.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (g GlobalAvgPool) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return g.ForwardIntoOn(kernels.Default(), ins, out, scratch)
 }
 
 // ForwardInto implements IntoForwarder.

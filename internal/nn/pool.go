@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mupod/internal/kernels"
 	"mupod/internal/tensor"
 )
 
@@ -41,7 +42,7 @@ func (p *MaxPool2D) OutShape(in [][]int) []int {
 func (p *MaxPool2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 	checkInputs("maxpool", ins, 1)
 	out := tensor.New(p.OutShape([][]int{ins[0].Shape})...)
-	p.ForwardInto(ins, out, nil)
+	p.ForwardIntoOn(kernels.Default(), ins, out, nil)
 	return out
 }
 
@@ -109,7 +110,7 @@ func (p *AvgPool2D) OutShape(in [][]int) []int {
 func (p *AvgPool2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 	checkInputs("avgpool", ins, 1)
 	out := tensor.New(p.OutShape([][]int{ins[0].Shape})...)
-	p.ForwardInto(ins, out, nil)
+	p.ForwardIntoOn(kernels.Default(), ins, out, nil)
 	return out
 }
 
@@ -156,7 +157,7 @@ func (GlobalAvgPool) OutShape(in [][]int) []int {
 func (GlobalAvgPool) Forward(ins []*tensor.Tensor) *tensor.Tensor {
 	checkInputs("gap", ins, 1)
 	out := tensor.New(ins[0].Shape[0], ins[0].Shape[1])
-	GlobalAvgPool{}.ForwardInto(ins, out, nil)
+	GlobalAvgPool{}.ForwardIntoOn(kernels.Default(), ins, out, nil)
 	return out
 }
 

@@ -61,11 +61,9 @@ type Config struct {
 	// bit-identical at every worker count — Workers changes wall-clock
 	// time only, never results (content-addressed caches hash it out).
 	Workers int
-	// Kernel selects the compute backend for the exact forward pass and
-	// every replay (zero value = default backend, automatic intra-op
-	// budget). The "parallel" backend and IntraWorkers are result-
-	// neutral (kernels.Policy.ResultClass); caches hash the result class
-	// only.
+	// Kernel is the kernel policy of the exact forward pass and every
+	// replay (zero value = serial). Like Workers it never changes
+	// results, so caches hash it out.
 	Kernel kernels.Policy
 }
 

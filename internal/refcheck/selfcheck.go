@@ -21,10 +21,9 @@ type Options struct {
 	// Workers is the parallel fast-path worker count compared against
 	// workers=1 and the reference (0 = GOMAXPROCS).
 	Workers int
-	// Kernel is the compute backend threaded through the pipeline
-	// checks (zero value = the default backend). The per-backend
-	// differential sweep always covers every registered backend
-	// regardless of this setting.
+	// Kernel is the kernel policy threaded through the pipeline checks
+	// (zero value = serial). The kernel differential sweep always
+	// covers every policy regardless of this setting.
 	Kernel kernels.Policy
 	// Nets restricts the sweep to a subset of testnet.ZooNames()
 	// (nil/empty = all).
@@ -184,11 +183,10 @@ func (s *runState) checkForward(ctx context.Context, f testnet.Fixture) error {
 }
 
 // checkKernelBackends runs the compute-kernel differentials on one
-// fixture: every registered backend must stay within ForwardTol of the
-// reference kernels, and the "parallel" backend must be bit-identical
-// to "blocked" at every intra-op worker count (it only shards disjoint
-// outputs; the per-output reduction order is part of the kernel
-// contract).
+// fixture: every kernel policy must stay within ForwardTol of the
+// reference kernels, and "parallel" must be bit-identical to "blocked"
+// at every intra-op worker count (it only shards disjoint outputs; the
+// per-output reduction order is part of the kernel contract).
 func (s *runState) checkKernelBackends(f testnet.Fixture) {
 	const batch = 16
 	in := f.Test.Batch(0, batch)

@@ -74,11 +74,9 @@ type Options struct {
 	// eval batch in batch order and correct counts are reduced in batch
 	// order, so results are bit-identical at every worker count.
 	Workers int
-	// Kernel selects the compute backend for evaluation forward passes
-	// (zero value = default backend, automatic intra-op budget). Like
-	// Workers, the "parallel" backend and any IntraWorkers setting never
-	// change results (kernels.Policy.ResultClass), so caches hash the
-	// result class only.
+	// Kernel is the kernel policy of evaluation forward passes (zero
+	// value = serial). Like Workers it never changes results, so caches
+	// hash it out.
 	Kernel kernels.Policy
 }
 

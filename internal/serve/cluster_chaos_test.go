@@ -86,29 +86,40 @@ func TestClusterChaosNodeDeathLosesNoJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitState(t, ref, StateDone)
-		var adopted *Job
-		for _, n := range []*testNode{b, c} {
-			if j, err := n.m.Get(id); err == nil {
-				adopted = j
-				break
+		// Under load the survivors can briefly declare each other dead
+		// and re-admit each other's jobs, so both may hold a copy. Wait
+		// until every copy has settled; each must be done and match.
+		var adopted []*Job
+		waitUntil(t, "every copy of job "+id+" terminal", 30*time.Second, func() bool {
+			adopted = adopted[:0]
+			for _, n := range []*testNode{b, c} {
+				if j, err := n.m.Get(id); err == nil {
+					if !j.State().Terminal() {
+						return false
+					}
+					adopted = append(adopted, j)
+				}
 			}
-		}
-		if adopted == nil {
-			t.Fatalf("job %s vanished from the survivors", id)
-		}
-		got, want := adopted.Result(), ref.Result()
-		if got == nil || want == nil {
-			t.Fatalf("job %s missing a result (cluster=%v solo=%v)", id, got != nil, want != nil)
-		}
-		if got.SigmaYL != want.SigmaYL {
-			t.Fatalf("job %s σ_Y^L diverged after handoff: %v vs %v", id, got.SigmaYL, want.SigmaYL)
-		}
-		if len(got.Bits) != len(want.Bits) {
-			t.Fatalf("job %s bit allocation length diverged: %d vs %d", id, len(got.Bits), len(want.Bits))
-		}
-		for l := range got.Bits {
-			if got.Bits[l] != want.Bits[l] {
-				t.Fatalf("job %s layer %d bits diverged after handoff: %d vs %d", id, l, got.Bits[l], want.Bits[l])
+			return true
+		})
+		for _, j := range adopted {
+			if j.State() != StateDone {
+				t.Fatalf("job %s copy ended %s, want done (err=%q)", id, j.State(), j.Err())
+			}
+			got, want := j.Result(), ref.Result()
+			if got == nil || want == nil {
+				t.Fatalf("job %s missing a result (cluster=%v solo=%v)", id, got != nil, want != nil)
+			}
+			if got.SigmaYL != want.SigmaYL {
+				t.Fatalf("job %s σ_Y^L diverged after handoff: %v vs %v", id, got.SigmaYL, want.SigmaYL)
+			}
+			if len(got.Bits) != len(want.Bits) {
+				t.Fatalf("job %s bit allocation length diverged: %d vs %d", id, len(got.Bits), len(want.Bits))
+			}
+			for l := range got.Bits {
+				if got.Bits[l] != want.Bits[l] {
+					t.Fatalf("job %s layer %d bits diverged after handoff: %d vs %d", id, l, got.Bits[l], want.Bits[l])
+				}
 			}
 		}
 	}

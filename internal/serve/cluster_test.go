@@ -15,6 +15,7 @@ import (
 	"mupod/internal/cluster"
 	"mupod/internal/dataset"
 	"mupod/internal/fault"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 )
 
@@ -215,15 +216,18 @@ func TestClusterSingleNodeIsByteIdentical(t *testing.T) {
 }
 
 // RouteKey must ignore everything that cannot change the result —
-// tenant and parallelism — and fold kernels to their result class, so
-// equivalent requests land on the same owner (and its caches).
+// tenant, parallelism and kernel policies — so equivalent requests
+// land on the same owner (and its caches).
 func TestRouteKeyNormalization(t *testing.T) {
 	base := tinyRequest()
 	variants := []func(*JobRequest){
 		func(r *JobRequest) { r.Tenant = "acme" },
 		func(r *JobRequest) { r.Workers = 7 },
 		func(r *JobRequest) { r.IntraWorkers = 3 },
-		func(r *JobRequest) { r.Kernel = "parallel" }, // result class of parallel == blocked
+		func(r *JobRequest) { r.Kernel = "parallel" },
+		func(r *JobRequest) { r.Kernel = "blocked" },
+		func(r *JobRequest) { r.Profile.Kernel = kernels.Policy{Impl: "parallel", IntraWorkers: 2} },
+		func(r *JobRequest) { r.Search.Kernel = kernels.Policy{Impl: "blocked"} },
 	}
 	want := RouteKey(&base)
 	for i, mutate := range variants {

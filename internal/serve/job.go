@@ -76,14 +76,12 @@ type JobRequest struct {
 	// any worker count, so this only trades latency for CPU.
 	Workers int `json:"workers,omitempty"`
 
-	// Kernel names the compute backend for this job's forward passes:
-	// "naive", "blocked" or "parallel" ("" = the daemon's default).
-	// IntraWorkers bounds the goroutines the "parallel" backend spends
-	// inside one layer (0 = automatic). Stage-level policies in
-	// Profile.Kernel / Search.Kernel take precedence when set. Like
-	// Workers, "parallel"/IntraWorkers never change results; "naive"
-	// computes in a different accumulation order and therefore keys its
-	// own profile-cache class.
+	// Kernel is the kernel policy of this job's forward passes:
+	// "blocked" (serial) or "parallel" ("" = the daemon's default).
+	// IntraWorkers bounds the goroutines "parallel" spends inside one
+	// layer (0 = automatic). Stage-level policies in Profile.Kernel /
+	// Search.Kernel take precedence when set. Like Workers, these never
+	// change results, so they never split a cache or a route.
 	Kernel       string `json:"kernel,omitempty"`
 	IntraWorkers int    `json:"intra_workers,omitempty"`
 

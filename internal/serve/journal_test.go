@@ -6,10 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mupod/internal/dataset"
 	"mupod/internal/fault"
+	"mupod/internal/nn"
 )
 
 // logCapture collects Logf output for assertions on replay warnings.
@@ -199,6 +202,59 @@ func TestJournalReplayMixedTimeline(t *testing.T) {
 	}
 	if st.droppedBytes != 0 {
 		t.Errorf("clean journal reported %d dropped bytes", st.droppedBytes)
+	}
+}
+
+// TestRecoveryFailsRemovedKernelJobs restores a journal written by a
+// build that still accepted the "naive" kernel backend: the queued and
+// the interrupted job that name it finalize failed with the validation
+// error and never run, the finished one keeps its state and result, and
+// a valid job queued behind them still runs.
+func TestRecoveryFailsRemovedKernelJobs(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "journal_removed_kernel.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var resolved atomic.Int32
+	resolver := func(ctx context.Context, req *JobRequest) (*nn.Network, *dataset.Dataset, error) {
+		resolved.Add(1)
+		return testResolver(ctx, req)
+	}
+	m := newTestManager(t, Config{Workers: 1, DataDir: dir, NoFsync: true, Resolver: resolver})
+
+	get := func(id string) *Job {
+		j, err := m.Get(id)
+		if err != nil {
+			t.Fatalf("job %s lost in recovery: %v", id, err)
+		}
+		return j
+	}
+	done := get("j-000001")
+	if done.State() != StateDone || done.Result() == nil || len(done.Result().Bits) != 2 {
+		t.Errorf("finished job = {state %s, result %+v}, want done with its journaled result", done.State(), done.Result())
+	}
+	for _, id := range []string{"j-000002", "j-000003"} {
+		j := get(id)
+		if j.State() != StateFailed {
+			t.Errorf("%s state = %s, want failed", id, j.State())
+		}
+		if !strings.Contains(j.Err(), `unknown backend "naive"`) || !strings.Contains(j.Err(), "[blocked parallel]") {
+			t.Errorf("%s err = %q, want the validation error", id, j.Err())
+		}
+	}
+	waitState(t, get("j-000004"), StateDone)
+	if got := resolved.Load(); got != 1 {
+		t.Errorf("resolver ran %d times, want once (only the valid job)", got)
+	}
+	if got := m.metrics.recoveredFailed.Value(); got != 2 {
+		t.Errorf("mupod_jobs_recovered_total{disposition=\"failed\"} = %d, want 2", got)
+	}
+	if got := m.metrics.recoveredRequeue.Value(); got != 1 {
+		t.Errorf("mupod_jobs_recovered_total{disposition=\"requeued\"} = %d, want 1", got)
 	}
 }
 

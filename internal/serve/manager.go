@@ -278,7 +278,9 @@ func New(cfg Config) (*Manager, error) {
 // are kept as the record of record; queued jobs re-enqueue; running and
 // interrupted jobs — cut short by the crash being recovered from — are
 // re-enqueued as interrupted unless their attempt budget is exhausted,
-// in which case they finalize failed rather than crash-loop.
+// in which case they finalize failed rather than crash-loop. A queued,
+// running or interrupted job whose request no longer validates also
+// finalizes failed, with the validation error as its reason.
 func (m *Manager) restore(st *replayState) []*Job {
 	m.nextID = st.nextID
 	var pending []*Job
@@ -313,27 +315,38 @@ func (m *Manager) restore(st *replayState) []*Job {
 				j.timeline = appendTimeline(j.timeline, string(rec.State), rec.Finished)
 			}
 		}
+		// fail finalizes a non-terminal job without running it.
+		fail := func(reason string) {
+			j.state = StateFailed
+			j.err = reason
+			j.finished = time.Now()
+			j.timeline = appendTimeline(j.timeline, string(StateFailed), j.finished)
+			cancel()
+			close(j.done)
+			m.metrics.recoveredFailed.Add(1)
+			m.metrics.jobCompleted(StateFailed)
+			m.cfg.Logf("serve: job %s recovered as failed (%s)", j.id, j.err)
+		}
+		var invalid error
+		if !rec.State.Terminal() {
+			// A request journaled by an older build may name an option
+			// this one no longer accepts (a removed kernel backend, say).
+			invalid = rec.Req.Validate()
+		}
+		interrupted := rec.State == StateRunning || rec.State == StateInterrupted
 		switch {
 		case rec.State.Terminal():
 			cancel()
 			close(j.done)
-		case rec.State == StateRunning || rec.State == StateInterrupted:
-			if rec.Attempt >= m.cfg.MaxAttempts {
-				j.state = StateFailed
-				j.err = fmt.Sprintf("serve: job interrupted by crash on attempt %d of %d; not retrying", rec.Attempt, m.cfg.MaxAttempts)
-				j.finished = time.Now()
-				j.timeline = appendTimeline(j.timeline, string(StateFailed), j.finished)
-				cancel()
-				close(j.done)
-				m.metrics.recoveredFailed.Add(1)
-				m.metrics.jobCompleted(StateFailed)
-				m.cfg.Logf("serve: job %s recovered as failed (%s)", j.id, j.err)
-			} else {
-				j.state = StateInterrupted
-				pending = append(pending, j)
-				m.metrics.recoveredRequeue.Add(1)
-				m.cfg.Logf("serve: job %s recovered as interrupted (attempt %d), re-queued", j.id, rec.Attempt)
-			}
+		case invalid != nil:
+			fail("serve: journaled request is no longer valid: " + invalid.Error())
+		case interrupted && rec.Attempt >= m.cfg.MaxAttempts:
+			fail(fmt.Sprintf("serve: job interrupted by crash on attempt %d of %d; not retrying", rec.Attempt, m.cfg.MaxAttempts))
+		case interrupted:
+			j.state = StateInterrupted
+			pending = append(pending, j)
+			m.metrics.recoveredRequeue.Add(1)
+			m.cfg.Logf("serve: job %s recovered as interrupted (attempt %d), re-queued", j.id, rec.Attempt)
 		default: // queued
 			pending = append(pending, j)
 			m.metrics.recoveredRequeue.Add(1)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mupod/internal/dataset"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/search"
@@ -264,12 +265,68 @@ func TestProfileCacheHitOnIdenticalSubmission(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsRemovedKernel: a request naming the retired "naive"
+// backend gets 400, alone or as a batch item, with a message that names
+// the accepted policies.
+func TestSubmitRejectsRemovedKernel(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+	naming := func(msg string) bool {
+		return strings.Contains(msg, `"naive"`) && strings.Contains(msg, "blocked") && strings.Contains(msg, "parallel")
+	}
+
+	for _, body := range []string{
+		`{"model":"testnet","kernel":"naive"}`,
+		`{"model":"testnet","profile":{"kernel":{"impl":"naive"}}}`,
+		`{"model":"testnet","search":{"kernel":{"impl":"naive"}}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !naming(e.Error) {
+			t.Errorf("POST /v1/jobs %s: status %d, error %q", body, resp.StatusCode, e.Error)
+		}
+	}
+
+	batch := `{"jobs":[{"model":"testnet"},{"model":"testnet","kernel":"naive"}]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs:batch", "application/json", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var view BatchView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusMultiStatus || view.Accepted != 1 || len(view.Items) != 2 {
+		t.Fatalf("batch: status %d, view %+v", resp.StatusCode, view)
+	}
+	if it := view.Items[1]; it.Status != http.StatusBadRequest || !naming(it.Error) {
+		t.Errorf("naive batch item = %+v, want 400 naming blocked and parallel", it)
+	}
+}
+
 func TestProfileKeyNormalization(t *testing.T) {
 	net, _, te := testnet.Trained()
 	zero := profile.Config{}
 	explicit := zero.Normalized()
 	if ProfileKey(net, te, zero) != ProfileKey(net, te, explicit) {
 		t.Fatal("zero config and its explicit defaults hash differently")
+	}
+	for _, pol := range []kernels.Policy{{Impl: "blocked"}, {Impl: "parallel", IntraWorkers: 3}} {
+		withKernel := explicit
+		withKernel.Workers, withKernel.Kernel = 2, pol
+		if ProfileKey(net, te, withKernel) != ProfileKey(net, te, explicit) {
+			t.Fatalf("workers 2 and kernel policy %+v split the profile key", pol)
+		}
 	}
 	other := explicit
 	other.Seed++

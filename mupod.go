@@ -143,10 +143,11 @@ type (
 	// JobManager owns the job table, queue and worker pool.
 	JobManager = serve.Manager
 
-	// KernelPolicy selects the compute backend of every forward pass
-	// ("naive", "blocked" or "parallel"; the zero value is the default
-	// backend) and bounds the intra-op parallelism of "parallel". Set it
-	// on Config.Kernel, ProfileConfig.Kernel, SearchOptions.Kernel,
+	// KernelPolicy sets how many goroutines one kernel call of a
+	// forward pass may use: "blocked" (the zero value's default) runs
+	// serially, "parallel" shards each call across IntraWorkers
+	// goroutines. Every policy gives the same bits. Set it on
+	// Config.Kernel, ProfileConfig.Kernel, SearchOptions.Kernel,
 	// BaselineOptions.Kernel or ServeConfig.Kernel (see
 	// internal/kernels).
 	KernelPolicy = kernels.Policy
@@ -423,12 +424,10 @@ func EnableEngineMetrics(reg *MetricsRegistry) {
 	optimize.EnableMetrics(reg)
 }
 
-// KernelBackends lists the registered compute backends ("naive",
-// "blocked", "parallel"), sorted; KernelDefault is the one a zero
-// KernelPolicy selects. All backends satisfy the same differential
-// contract against the reference kernels (≤1e-9 on the self-check
-// nets); "blocked" and "parallel" are bit-identical to each other at
-// any worker count, while "naive" accumulates in a different order.
+// KernelBackends lists the accepted KernelPolicy names ("blocked",
+// "parallel"), sorted; KernelDefault is the one a zero KernelPolicy
+// selects. Both run the same kernels and give the same bits at any
+// worker count; they differ only in intra-op parallelism.
 func KernelBackends() []string { return kernels.Names() }
 
 // KernelDefault is the backend name a zero KernelPolicy resolves to.
