@@ -295,32 +295,14 @@ func BenchmarkConvForward(b *testing.B) {
 	x := te.Batch(0, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		net.ForwardAll(x)
 	}
 	b.ReportMetric(float64(net.TotalMACs()*8), "MACs/op")
 }
 
-func BenchmarkReplaySuffix(b *testing.B) {
-	net := zoo.Build(zoo.AlexNet, zoo.Seed)
-	_, te := zoo.Data(zoo.AlexNet)
-	x := te.Batch(0, 8)
-	acts := net.ForwardAll(x)
-	nodes := net.AnalyzableNodes()
-	mid := nodes[len(nodes)/2]
-	r := rng.New(1)
-	inj := profile.UniformInjector(r, 0.01, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ReplayFrom(acts, mid, inj)
-	}
-}
-
-// BenchmarkReplayPlan is the plan-based counterpart of
-// BenchmarkReplaySuffix: the same mid-network replay, but through an
-// exec.Session — the precomputed downstream set replaces the per-call
-// dirty scan and pooled arenas replace per-node output allocation.
-// Compare the two (time and allocs/op) to see what the execution
-// engine buys on the profiling hot path.
+// BenchmarkReplayPlan times one mid-network replay through an
+// exec.Session, the profiling hot path: the plan's precomputed
+// downstream set reruns on pooled arenas, so allocs/op stays at zero.
 func BenchmarkReplayPlan(b *testing.B) {
 	net := zoo.Build(zoo.AlexNet, zoo.Seed)
 	_, te := zoo.Data(zoo.AlexNet)
@@ -331,35 +313,28 @@ func BenchmarkReplayPlan(b *testing.B) {
 	r := rng.New(1)
 	inj := profile.UniformInjector(r, 0.01, false)
 	sess := exec.NewSession(exec.NewPlan(net))
-	sess.Replay(acts, mid, inj) // warm the arenas
+	sess.Replay(acts, mid, nil, inj) // warm the arenas
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.Replay(acts, mid, inj)
+		sess.Replay(acts, mid, nil, inj)
 	}
 }
 
-// BenchmarkSessionAlloc contrasts the steady-state allocation profile
-// of the arena-backed forward pass against the allocating Network
-// path; allocs/op is the headline metric (the session side stays at
-// zero once its buffers are warm).
+// BenchmarkSessionAlloc pins the steady-state allocation profile of
+// the arena-backed forward pass; allocs/op is the headline metric and
+// stays at zero once the session's buffers are warm.
 func BenchmarkSessionAlloc(b *testing.B) {
 	net := zoo.Build(zoo.AlexNet, zoo.Seed)
 	_, te := zoo.Data(zoo.AlexNet)
 	x := te.Batch(0, 8)
-	b.Run("network", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			net.Forward(x)
-		}
-	})
 	b.Run("session", func(b *testing.B) {
 		sess := exec.NewSession(exec.NewPlan(net))
-		sess.Forward(x) // warm the arenas
+		sess.Forward(x, nil) // warm the arenas
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sess.Forward(x)
+			sess.Forward(x, nil)
 		}
 	})
 }
@@ -497,8 +472,9 @@ func BenchmarkIntegerInference(b *testing.B) {
 	})
 	b.Run("float-simulated", func(b *testing.B) {
 		plan := alloc.InjectionPlan()
+		sess := exec.NewSession(exec.NewPlan(net))
 		for i := 0; i < b.N; i++ {
-			net.ForwardInject(batch, plan)
+			sess.Forward(batch, plan)
 		}
 	})
 }

@@ -28,6 +28,7 @@ import (
 	"mupod/internal/core"
 	"mupod/internal/dataset"
 	"mupod/internal/energy"
+	"mupod/internal/exec"
 	"mupod/internal/fxnet"
 	"mupod/internal/netdesc"
 	"mupod/internal/nn"
@@ -75,7 +76,9 @@ func main() {
 		})
 		fmt.Printf("training %s for %d steps on a synthetic split...\n", net.Name, *trainSteps)
 		train.Run(net, tr, train.Config{Optimizer: train.Adam, LR: 0.003, Steps: *trainSteps, BatchSize: 8, Seed: *seed})
-		fmt.Printf("test accuracy: %.3f\n\n", train.Accuracy(net, test, 32))
+		acc, err := exec.Accuracy(ctx, run.Workers, run.Kernel, net, test, 0, 32, nil)
+		run.Check(err)
+		fmt.Printf("test accuracy: %.3f\n\n", acc)
 	} else {
 		arch := zoo.Arch(*model)
 		if _, ok := zoo.AnalyzableLayers[arch]; !ok {

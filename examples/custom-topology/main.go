@@ -11,12 +11,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"mupod"
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/train"
 )
 
@@ -50,7 +53,11 @@ func main() {
 
 	tr, te := dataset.Generate(dataset.Config{H: 8, W: 8, Train: 500, Test: 300, Seed: 321})
 	train.Run(net, tr, train.Config{Optimizer: train.Adam, LR: 0.004, Steps: 300, BatchSize: 8, Seed: 1})
-	fmt.Printf("trained: test accuracy %.3f\n\n", train.Accuracy(net, te, 32))
+	testAcc, err := exec.Accuracy(context.Background(), 0, kernels.Policy{}, net, te, 0, 32, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("trained: test accuracy %.3f\n\n", testAcc)
 
 	res, err := mupod.Run(net, te, mupod.Config{
 		Profile:   mupod.ProfileConfig{Images: 20, Points: 10, Seed: 1},

@@ -19,11 +19,11 @@ import (
 
 	"mupod/internal/core"
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
-	"mupod/internal/search"
 	"mupod/internal/tensor"
 )
 
@@ -73,7 +73,7 @@ type SearchResult struct {
 // accuracy is the shared (parallel, stateless-plan) evaluation of the
 // baseline searches.
 func accuracy(net *nn.Network, ds *dataset.Dataset, o Options, plan map[int]nn.Injector) float64 {
-	acc, _ := search.AccuracyStatelessOn(context.Background(), o.Workers, o.Kernel, net, ds, o.EvalImages, o.BatchSize, plan)
+	acc, _ := exec.Accuracy(context.Background(), o.Workers, o.Kernel, net, ds, o.EvalImages, o.BatchSize, plan)
 	return acc
 }
 

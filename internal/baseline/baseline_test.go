@@ -1,12 +1,16 @@
 package baseline
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"mupod/internal/core"
+	"mupod/internal/dataset"
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
+	"mupod/internal/nn"
 	"mupod/internal/profile"
-	"mupod/internal/search"
 	"mupod/internal/testnet"
 )
 
@@ -42,7 +46,7 @@ func TestSmallestUniformMeetsConstraint(t *testing.T) {
 	if bits <= 0 || bits > 16 {
 		t.Fatalf("uniform bits = %d", bits)
 	}
-	exact := search.Accuracy(net, te, 120, 32, nil)
+	exact := exactAccuracy(t, net, te, 120)
 	acc := quantAccuracy(net, te, res.Allocation, o.withDefaults(te))
 	if acc < exact*(1-o.RelDrop) {
 		t.Fatalf("smallest uniform %d bits: accuracy %v vs exact %v", bits, acc, exact)
@@ -95,7 +99,7 @@ func TestStripesSearchImprovesOnUniform(t *testing.T) {
 		t.Fatalf("suspiciously few evaluations: %d", sr.Evaluations)
 	}
 	// The result still meets the constraint.
-	exact := search.Accuracy(net, te, 120, 32, nil)
+	exact := exactAccuracy(t, net, te, 120)
 	acc := quantAccuracy(net, te, sr.Allocation, o.withDefaults(te))
 	if acc < exact*(1-o.RelDrop) {
 		t.Fatalf("search result violates constraint: %v", acc)
@@ -104,7 +108,7 @@ func TestStripesSearchImprovesOnUniform(t *testing.T) {
 
 func TestQuantizeWeightsRestores(t *testing.T) {
 	net, _, te := testnet.Trained()
-	before := search.Accuracy(net, te, 80, 32, nil)
+	before := exactAccuracy(t, net, te, 80)
 	ws := weightParams(net)
 	orig := append([]float64(nil), ws[0].Data...)
 	restore := QuantizeWeights(net, 3)
@@ -124,7 +128,7 @@ func TestQuantizeWeightsRestores(t *testing.T) {
 			t.Fatal("restore incomplete")
 		}
 	}
-	after := search.Accuracy(net, te, 80, 32, nil)
+	after := exactAccuracy(t, net, te, 80)
 	if before != after {
 		t.Fatal("accuracy changed after restore")
 	}
@@ -146,7 +150,7 @@ func TestUniformWeightSearch(t *testing.T) {
 		t.Fatalf("weight bits = %d", w)
 	}
 	// Weights must have been restored.
-	exact := search.Accuracy(net, te, 120, 32, nil)
+	exact := exactAccuracy(t, net, te, 120)
 	if exact < 0.7 {
 		t.Fatalf("weights not restored: accuracy %v", exact)
 	}
@@ -159,4 +163,14 @@ func TestUniformWeightSearchRejectsBadOptions(t *testing.T) {
 	if _, err := UniformWeightSearch(net, uni, te, Options{}); err == nil {
 		t.Fatal("no error for RelDrop = 0")
 	}
+}
+
+// exactAccuracy is exact exec.Accuracy on one worker, failing t on error.
+func exactAccuracy(t *testing.T, net *nn.Network, ds *dataset.Dataset, n int) float64 {
+	t.Helper()
+	acc, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, ds, n, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc
 }

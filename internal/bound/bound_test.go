@@ -1,14 +1,16 @@
 package bound
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
-	"mupod/internal/search"
 	"mupod/internal/tensor"
 	"mupod/internal/testnet"
 )
@@ -61,11 +63,12 @@ func TestAmplificationIsSound(t *testing.T) {
 	batch := te.Batch(0, 8)
 	acts := net.ForwardAll(batch)
 	exact := acts[len(acts)-1]
+	sess := exec.NewSession(exec.NewPlan(net))
 	r := rng.New(42)
 	for _, k := range net.AnalyzableNodes() {
 		const delta = 0.05
 		// Adversarial-ish noise: full ±Δ with random signs.
-		out := net.ReplayFrom(acts, k, func(x *tensor.Tensor) {
+		out := sess.Replay(acts, k, nil, func(x *tensor.Tensor) {
 			for i := range x.Data {
 				if r.Float64() < 0.5 {
 					x.Data[i] += delta
@@ -105,8 +108,14 @@ func TestBoundAllocationIsLosslessAndConservative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := search.Accuracy(net, te, 200, 32, nil)
-	quant := search.Accuracy(net, te, 200, 32, alloc.InjectionPlan())
+	exact, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 200, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quant, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 200, 32, alloc.InjectionPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if quant < exact {
 		t.Fatalf("guaranteed allocation lost accuracy: %v < %v", quant, exact)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"mupod/internal/dataset"
 	"mupod/internal/energy"
+	"mupod/internal/exec"
 	"mupod/internal/fault"
 	"mupod/internal/fixedpoint"
 	"mupod/internal/kernels"
@@ -75,7 +76,7 @@ type Config struct {
 	// noise. Off by default.
 	Guard           bool
 	GuardShrink     float64 // σ multiplier per retry (default 0.85)
-	GuardMaxRetries int     // default 8
+	GuardMaxRetries int     // default 10
 
 	// Workers bounds the execution worker pool of every stage
 	// (profiling replays, σ-search eval batches, guard validation);
@@ -214,7 +215,7 @@ func (a *Allocation) InjectionPlan() map[int]nn.Injector {
 // Quantizing injectors are stateless, so validation batches run across
 // all cores with bit-identical results.
 func (a *Allocation) Validate(net *nn.Network, ds *dataset.Dataset, n int) float64 {
-	acc, _ := search.AccuracyStateless(context.Background(), 0, net, ds, n, 32, a.InjectionPlan())
+	acc, _ := exec.Accuracy(context.Background(), 0, kernels.Policy{}, net, ds, n, 32, a.InjectionPlan())
 	return acc
 }
 
@@ -480,7 +481,7 @@ func AllocateContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, 
 		// Quantizing injectors are stateless, so the guard's real-
 		// quantization validation parallelizes across eval batches — on
 		// the same kernel backend the σ search used.
-		acc, err := search.AccuracyStatelessOn(rctx, cfg.Search.Workers, cfg.Search.Kernel, net, ds, evalImages, 32, alloc.InjectionPlan())
+		acc, err := exec.Accuracy(rctx, cfg.Search.Workers, cfg.Search.Kernel, net, ds, evalImages, 32, alloc.InjectionPlan())
 		if err != nil {
 			rsp.End()
 			return nil, 0, 0, fmt.Errorf("core: guard: %w", err)

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"mupod/internal/energy"
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/profile"
 	"mupod/internal/search"
 	"mupod/internal/testnet"
@@ -166,7 +168,10 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exact := search.Accuracy(net, te, 0, 32, nil)
+	exact, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 0, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, res := range []*Result{resIn, resMAC} {
 		acc := res.Allocation.Validate(net, te, 0)
 		if acc < exact*(1-0.05)-0.02 { // small slack for eval-set change

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
+	"mupod/internal/refcheck"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 	"mupod/internal/testnet"
@@ -46,7 +49,7 @@ func TestPlanDownstreamMatchesBruteForce(t *testing.T) {
 	net := branchy()
 	p := exec.NewPlan(net)
 	for start := 1; start < len(net.Nodes); start++ {
-		// Brute force: the dirty-scan loop nn.ReplayFrom runs.
+		// Brute force: scan every later node for a dirty input.
 		dirty := make([]bool, len(net.Nodes))
 		dirty[start] = true
 		var want []int
@@ -107,10 +110,25 @@ func replayFixtures() map[string]replayFixture {
 	}
 }
 
-// TestSessionReplayMatchesLegacy verifies the arena-based replay is
-// bit-identical to nn.ReplayFrom for every analyzable node, on both
-// the branchy DAG and the shared trained fixture.
-func TestSessionReplayMatchesLegacy(t *testing.T) {
+// sameBits fails the test at the first element where got and want
+// differ bitwise.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: logit[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSessionReplayMatchesForward verifies that a replay injected at
+// each analyzable node is bit-identical to the full forward pass with
+// the same one-node injection and noise seed, on both the branchy DAG
+// and the shared trained fixture.
+func TestSessionReplayMatchesForward(t *testing.T) {
 	for name, tc := range replayFixtures() {
 		t.Run(name, func(t *testing.T) {
 			acts := tc.net.ForwardAll(tc.x)
@@ -118,40 +136,87 @@ func TestSessionReplayMatchesLegacy(t *testing.T) {
 			for _, id := range tc.net.AnalyzableNodes() {
 				for trial := 0; trial < 3; trial++ {
 					seed := uint64(id*100 + trial)
-					inj := func(seed uint64) nn.Injector {
-						return profile.UniformInjector(rng.New(seed), 0.05, false)
-					}
-					want := tc.net.ReplayFrom(acts, id, inj(seed))
-					got := sess.Replay(acts, id, inj(seed))
-					if len(got.Data) != len(want.Data) {
-						t.Fatalf("node %d: length %d vs %d", id, len(got.Data), len(want.Data))
-					}
-					for i := range want.Data {
-						if got.Data[i] != want.Data[i] {
-							t.Fatalf("node %d trial %d: logit[%d] = %v, legacy %v", id, trial, i, got.Data[i], want.Data[i])
-						}
-					}
-				}
-			}
-			// The cached activations must be untouched by replays.
-			fresh := tc.net.ForwardAll(tc.x)
-			for id := range acts {
-				for i := range acts[id].Data {
-					if acts[id].Data[i] != fresh[id].Data[i] {
-						t.Fatalf("replay corrupted cached activation of node %d", id)
-					}
+					inj := func() nn.Injector { return profile.UniformInjector(rng.New(seed), 0.05, false) }
+					want := sess.Forward(tc.x, map[int]nn.Injector{id: inj()}).Clone()
+					got := sess.Replay(acts, id, nil, inj())
+					sameBits(t, fmt.Sprintf("node %d trial %d", id, trial), got.Data, want.Data)
 				}
 			}
 		})
 	}
 }
 
-// TestSessionReplayLayerMatchesOverwrittenNet verifies the layer
+// TestSessionReplayFixedPerturbationMatchesForward: a deterministic,
+// position-keyed perturbation replayed from each analyzable node is
+// bit-identical to the full forward pass with the same perturbation at
+// the same node.
+func TestSessionReplayFixedPerturbationMatchesForward(t *testing.T) {
+	bump := func(t *tensor.Tensor) {
+		for i := range t.Data {
+			t.Data[i] += 0.01 * float64(i%3)
+		}
+	}
+	for name, tc := range replayFixtures() {
+		t.Run(name, func(t *testing.T) {
+			acts := tc.net.ForwardAll(tc.x)
+			sess := exec.NewSession(exec.NewPlan(tc.net))
+			for _, id := range tc.net.AnalyzableNodes() {
+				want := sess.Forward(tc.x, map[int]nn.Injector{id: bump}).Clone()
+				if diff, _ := refcheck.CompareTensors(want, acts[len(acts)-1]); diff == 0 {
+					t.Fatalf("node %d: the bump left the logits unchanged", id)
+				}
+				sameBits(t, fmt.Sprintf("node %d", id), sess.Replay(acts, id, nil, bump).Data, want.Data)
+			}
+		})
+	}
+}
+
+// TestSessionReplayNoopInjection: replaying from any analyzable node
+// with nothing perturbed (a nil injector or one that writes nothing)
+// returns the exact logits.
+func TestSessionReplayNoopInjection(t *testing.T) {
+	for name, tc := range replayFixtures() {
+		t.Run(name, func(t *testing.T) {
+			acts := tc.net.ForwardAll(tc.x)
+			exact := acts[len(acts)-1].Data
+			sess := exec.NewSession(exec.NewPlan(tc.net))
+			for _, id := range tc.net.AnalyzableNodes() {
+				sameBits(t, fmt.Sprintf("node %d nil", id), sess.Replay(acts, id, nil, nil).Data, exact)
+				noop := func(*tensor.Tensor) {}
+				sameBits(t, fmt.Sprintf("node %d no-op", id), sess.Replay(acts, id, nil, noop).Data, exact)
+			}
+		})
+	}
+}
+
+// TestSessionReplayDoesNotMutateCache: replays that overwrite the
+// injected node's input never write the cached activations they read.
+func TestSessionReplayDoesNotMutateCache(t *testing.T) {
+	for name, tc := range replayFixtures() {
+		t.Run(name, func(t *testing.T) {
+			acts := tc.net.ForwardAll(tc.x)
+			snapshot := make([]*tensor.Tensor, len(acts))
+			for i, a := range acts {
+				snapshot[i] = a.Clone()
+			}
+			sess := exec.NewSession(exec.NewPlan(tc.net))
+			for _, id := range tc.net.AnalyzableNodes() {
+				sess.Replay(acts, id, nil, func(t *tensor.Tensor) { t.Fill(99) })
+				sess.Replay(acts, id, nil, profile.UniformInjector(rng.New(uint64(id)), 0.05, false))
+			}
+			for id := range acts {
+				sameBits(t, fmt.Sprintf("cached activation of node %d", id), acts[id].Data, snapshot[id].Data)
+			}
+		})
+	}
+}
+
+// TestSessionReplayOverrideMatchesOverwrittenNet verifies the layer
 // override: replaying node K with a shallow copy of its layer holding
 // perturbed weights (with and without input noise) is bit-identical to
-// nn.ReplayFrom on the network whose weights were overwritten in place,
-// and leaves the shared network's weights untouched.
-func TestSessionReplayLayerMatchesOverwrittenNet(t *testing.T) {
+// the forward pass of the network whose weights were overwritten in
+// place, and leaves the shared network's weights untouched.
+func TestSessionReplayOverrideMatchesOverwrittenNet(t *testing.T) {
 	for name, tc := range replayFixtures() {
 		t.Run(name, func(t *testing.T) {
 			acts := tc.net.ForwardAll(tc.x)
@@ -168,24 +233,20 @@ func TestSessionReplayLayerMatchesOverwrittenNet(t *testing.T) {
 					func() nn.Injector { return nil },
 					func() nn.Injector { return profile.UniformInjector(rng.New(uint64(id)), 0.05, false) },
 				} {
-					got := append([]float64(nil), sess.ReplayLayer(acts, id, with(perturbed), inj()).Data...)
+					got := sess.Replay(acts, id, with(perturbed), inj()).Clone()
 					for i := range saved {
 						if w.Data[i] != saved[i] {
-							t.Fatalf("node %d: ReplayLayer wrote the shared weights", id)
+							t.Fatalf("node %d: Replay wrote the shared weights", id)
 						}
 					}
-					legacy := inj()
-					if legacy == nil {
-						legacy = func(*tensor.Tensor) {}
+					var plan map[int]nn.Injector
+					if fn := inj(); fn != nil {
+						plan = map[int]nn.Injector{id: fn}
 					}
 					copy(w.Data, perturbed.Data)
-					want := tc.net.ReplayFrom(acts, id, legacy)
+					want := sess.Forward(tc.x, plan)
 					copy(w.Data, saved)
-					for i := range want.Data {
-						if got[i] != want.Data[i] {
-							t.Fatalf("node %d trial %d: logit[%d] = %v, overwritten net %v", id, trial, i, got[i], want.Data[i])
-						}
-					}
+					sameBits(t, fmt.Sprintf("node %d trial %d", id, trial), got.Data, want.Data)
 				}
 			}
 		})
@@ -207,34 +268,85 @@ func overridable(t *testing.T, l nn.Layer) (*tensor.Tensor, func(*tensor.Tensor)
 	return nil, nil
 }
 
-// TestSessionForwardInjectMatchesLegacy verifies the arena forward
-// pass (with and without injection) is bit-identical to the Network
-// methods, including after a batch-size change.
-func TestSessionForwardInjectMatchesLegacy(t *testing.T) {
+// TestSessionForwardMatchesForwardAll verifies the exact arena forward
+// pass is bit-identical to the logits of the allocating
+// nn.Network.ForwardAll, including after a batch-size change.
+func TestSessionForwardMatchesForwardAll(t *testing.T) {
 	net, _, te := testnet.Trained()
 	sess := exec.NewSession(exec.NewPlan(net))
 	for _, bs := range []int{8, 8, 3} { // repeat + shrink exercises arena reuse/resize
 		x := te.Batch(0, bs)
-		want := net.Forward(x)
-		got := sess.Forward(x)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("batch %d: plain forward diverges at %d", bs, i)
+		acts := net.ForwardAll(x)
+		sameBits(t, fmt.Sprintf("batch %d", bs), sess.Forward(x, nil).Data, acts[len(acts)-1].Data)
+	}
+}
+
+// TestSessionInjectIsolatesSharedTensors: branch1, branch2 and concat
+// all read relu1's output; injecting at branch1 must perturb only the
+// copy branch1 sees. The independent reference applies the same plan,
+// and the replay must agree with the forward pass bitwise.
+func TestSessionInjectIsolatesSharedTensors(t *testing.T) {
+	net := branchy()
+	x := replayFixtures()["branchy"].x
+	b1 := net.NodeByName("branch1").ID
+	zero := func(t *tensor.Tensor) { t.Fill(0) }
+	plan := map[int]nn.Injector{b1: zero}
+	acts := net.ForwardAll(x)
+	sess := exec.NewSession(exec.NewPlan(net))
+	got := sess.Forward(x, plan).Clone()
+	diff, err := refcheck.CompareTensors(got, refcheck.ForwardNetwork(net, x, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff > refcheck.ForwardTol {
+		t.Fatalf("injected forward diverges from the reference by %g", diff)
+	}
+	if diff, _ := refcheck.CompareTensors(got, acts[len(acts)-1]); diff == 0 {
+		t.Fatal("zeroing branch1's input left the logits unchanged")
+	}
+	sameBits(t, "replay vs forward", sess.Replay(acts, b1, nil, zero).Data, got.Data)
+}
+
+// TestSessionReplayPanicsOnBadNode: the input node and IDs past the
+// output cannot be replayed.
+func TestSessionReplayPanicsOnBadNode(t *testing.T) {
+	net := branchy()
+	acts := net.ForwardAll(replayFixtures()["branchy"].x)
+	sess := exec.NewSession(exec.NewPlan(net))
+	for _, id := range []int{0, len(net.Nodes), 99} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Replay(node %d) did not panic", id)
+				}
+			}()
+			sess.Replay(acts, id, nil, func(*tensor.Tensor) {})
+		}()
+	}
+}
+
+// TestAccuracyCountsArgmaxHits checks the one accuracy function against
+// a hand count over ForwardAll's logits, with a partial last batch, at
+// several worker counts and both kernel policies.
+func TestAccuracyCountsArgmaxHits(t *testing.T) {
+	net, _, te := testnet.Trained()
+	const n = 45
+	acts := net.ForwardAll(te.Batch(0, n))
+	hits := 0
+	for i, p := range nn.Argmax(acts[len(acts)-1]) {
+		if p == te.Labels[i] {
+			hits++
+		}
+	}
+	want := float64(hits) / n
+	for _, workers := range []int{1, 3} {
+		for _, pol := range []kernels.Policy{{}, {Impl: "parallel", IntraWorkers: 2}} {
+			got, err := exec.Accuracy(context.Background(), workers, pol, net, te, n, 16, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		plan := map[int]nn.Injector{}
-		for _, id := range net.AnalyzableNodes() {
-			plan[id] = profile.UniformInjector(rng.New(uint64(id)), 0.02, false)
-		}
-		plan2 := map[int]nn.Injector{}
-		for _, id := range net.AnalyzableNodes() {
-			plan2[id] = profile.UniformInjector(rng.New(uint64(id)), 0.02, false)
-		}
-		want = net.ForwardInject(x, plan)
-		got = sess.ForwardInject(x, plan2)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("batch %d: injected forward diverges at %d", bs, i)
+			if got != want {
+				t.Errorf("workers=%d %+v: accuracy %v, want %v", workers, pol, got, want)
 			}
 		}
 	}
@@ -252,8 +364,9 @@ func TestConcurrentSessionsShareOnePlan(t *testing.T) {
 
 	// Reference outputs, computed sequentially.
 	ref := make(map[int][]float64, len(ids))
+	seq := exec.NewSession(p)
 	for _, id := range ids {
-		out := net.ReplayFrom(acts, id, profile.UniformInjector(rng.New(uint64(id)), 0.03, false))
+		out := seq.Replay(acts, id, nil, profile.UniformInjector(rng.New(uint64(id)), 0.03, false))
 		ref[id] = append([]float64(nil), out.Data...)
 	}
 
@@ -267,14 +380,14 @@ func TestConcurrentSessionsShareOnePlan(t *testing.T) {
 			sess := exec.NewSession(p)
 			for rep := 0; rep < 5; rep++ {
 				id := ids[(g+rep)%len(ids)]
-				out := sess.Replay(acts, id, profile.UniformInjector(rng.New(uint64(id)), 0.03, false))
+				out := sess.Replay(acts, id, nil, profile.UniformInjector(rng.New(uint64(id)), 0.03, false))
 				for i, v := range ref[id] {
 					if out.Data[i] != v {
 						errc <- fmt.Errorf("goroutine %d: node %d diverged under concurrency", g, id)
 						return
 					}
 				}
-				sess.Forward(x)
+				sess.Forward(x, nil)
 			}
 		}(g)
 	}

@@ -18,8 +18,8 @@ func TestSessionAndEvaluatorMetrics(t *testing.T) {
 	plan := NewPlan(net)
 	s := NewSession(plan)
 	x := tensor.New(2, 3, 8, 8)
-	s.Forward(x)
-	s.Forward(x)
+	s.Forward(x, nil)
+	s.Forward(x, nil)
 
 	if got := m.Forwards.Value(); got != 2 {
 		t.Fatalf("forwards = %d, want 2", got)

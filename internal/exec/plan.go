@@ -1,22 +1,26 @@
-// Package exec owns network execution for the measurement pipeline.
-// Three pieces compose:
+// Package exec is the one inference executor: every inference pass of
+// the measurement pipeline, exact or with noise injected, runs here.
+// Only the cached exact activations a replay starts from come from the
+// allocating nn.Network.ForwardAll. Four pieces compose:
 //
 //   - Plan: per-network metadata computed once — the downstream
 //     dirty-set of every node (which suffix nodes a perturbation at K
-//     actually reaches) and per-node output sizes — so replays stop
-//     rescanning every successor on each of the thousands of
-//     profiling replays nn.ReplayFrom performs.
-//   - Session: reusable activation arenas. A replay or forward pass
-//     writes into pooled per-node tensors instead of allocating
-//     ~len(Nodes) tensors per call: kernel layers (conv, depthwise
-//     conv, dense, pooling) through nn.BackendForwarder on the
-//     session's kernel backend, the rest (ReLU, flatten, add, concat)
-//     through nn.IntoForwarder. Sessions are single-goroutine; many
-//     sessions share one read-only Plan.
+//     actually reaches) and per-node output sizes — so each of the
+//     thousands of profiling replays recomputes exactly the nodes the
+//     perturbation reaches.
+//   - Session: reusable activation arenas and the two passes, Forward
+//     (a full pass with an optional per-node injection plan) and Replay
+//     (the suffix after one perturbed node, from cached exact
+//     activations). Each node writes into a pooled tensor through
+//     nn.ForwardLayer on the session's kernel backend instead of
+//     allocating. Sessions are single-goroutine; many sessions share
+//     one read-only Plan.
 //   - Evaluator: a bounded worker pool mapping a deterministic work
 //     list across workers. Callers pre-split RNG streams per work item
 //     and reduce in index order, so parallel results are bit-identical
 //     to sequential execution at any worker count.
+//   - Pool: an Evaluator with one Session per worker over a shared
+//     Plan, which the profile sweeps, the σ search and Accuracy use.
 package exec
 
 import (
@@ -76,9 +80,6 @@ func NewPlan(net *nn.Network) *Plan {
 	}
 	return p
 }
-
-// Network returns the network this plan was built for.
-func (p *Plan) Network() *nn.Network { return p.net }
 
 // Downstream returns the IDs of the nodes (in topological order,
 // excluding nodeID itself) recomputed by a replay injected at nodeID.

@@ -20,9 +20,9 @@ import (
 // goroutine. Any number of Sessions may share one Plan — the Plan and
 // the underlying Network (weights included) are only read.
 //
-// Tensors returned by Replay/Forward/ForwardInject are owned by the
-// Session and overwritten by its next call: consume (or copy) them
-// before reusing the Session.
+// Tensors returned by Forward and Replay are owned by the Session and
+// overwritten by its next call: consume (or copy) them before reusing
+// the Session.
 type Session struct {
 	plan *Plan
 	be   kernels.Backend // resolved from the policy; carries the tracer (see Trace)
@@ -63,13 +63,13 @@ func NewSessionPolicy(p *Plan, pol kernels.Policy) *Session {
 	return s
 }
 
-// Trace makes subsequent passes record kernel-level spans on the tracer
-// carried by ctx (no-op, and zero ongoing cost, when ctx carries none).
-// Tracing observes only — results are bit-identical either way.
+// Trace makes subsequent passes record kernel-level spans as children
+// of ctx's span, on the tracer ctx carries (no-op, and zero ongoing
+// cost, when ctx carries none). A session reused across work items is
+// rebound to each item's context, or every span would hang off the
+// first item's. Tracing observes only — results are bit-identical
+// either way.
 func (s *Session) Trace(ctx context.Context) { s.be = kernels.Traced(ctx, s.be) }
-
-// Plan returns the plan this session executes.
-func (s *Session) Plan() *Plan { return s.plan }
 
 // buf returns the pooled output tensor of node id sized for the given
 // batch, reallocating only when the batch size changes.
@@ -111,41 +111,51 @@ func (s *Session) gather(nd *nn.Node) []*tensor.Tensor {
 	return ins
 }
 
-// step executes node id with layer l into its pooled buffer — on the
-// session's kernel backend for kernel layers, with ForwardInto for the
-// rest, and with the layer's allocating Forward for layers that have
-// neither — and records the result in cur.
+// step executes node id with layer l into its pooled buffer on the
+// session's kernel backend and records the result in cur.
 func (s *Session) step(l nn.Layer, id int, ins []*tensor.Tensor, batch int) {
-	if f, ok := l.(nn.BackendForwarder); ok {
-		out := s.buf(id, batch)
-		s.scratch = f.ForwardIntoOn(s.be, ins, out, s.scratch)
-		s.cur[id] = out
-		return
-	}
-	if f, ok := l.(nn.IntoForwarder); ok {
-		out := s.buf(id, batch)
-		s.scratch = f.ForwardInto(ins, out, s.scratch)
-		s.cur[id] = out
-		return
-	}
-	s.cur[id] = l.Forward(ins)
+	out := s.buf(id, batch)
+	s.scratch = nn.ForwardLayer(s.be, l, ins, out, s.scratch)
+	s.cur[id] = out
 }
 
-// Replay is the plan-based equivalent of nn.ReplayFrom: re-execute the
-// sub-graph downstream of nodeID from cached exact activations with
-// the input of nodeID perturbed by inject, touching exactly the
-// precomputed dirty-set instead of scanning every successor. The
-// returned logits are owned by the Session.
-func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, inject nn.Injector) *tensor.Tensor {
-	return s.ReplayLayer(acts, nodeID, nil, inject)
+// Forward runs a full forward pass of x and returns the logits (owned
+// by the Session). Each node in inject computes on a privately
+// perturbed copy of its first input, so a tensor several nodes consume
+// is perturbed only as the injected node sees it — the paper's Scheme 1
+// simultaneous multi-layer injection. A nil plan runs the exact pass.
+//
+// Cached-activation slices fed to Replay must come from an allocating
+// pass (nn.Network.ForwardAll), never from this Session's own buffers:
+// Replay writes into those buffers and would corrupt the cache.
+func (s *Session) Forward(x *tensor.Tensor, inject map[int]nn.Injector) *tensor.Tensor {
+	net := s.plan.net
+	batch := x.Shape[0]
+	s.cur[0] = x
+	for _, nd := range net.Nodes[1:] {
+		ins := s.gather(nd)
+		if fn, ok := inject[nd.ID]; ok {
+			cp := s.injectCopy(nd.ID, ins[0])
+			fn(cp)
+			ins[0] = cp
+		}
+		s.step(nd.Layer, nd.ID, ins, batch)
+	}
+	s.flushStats()
+	return s.cur[len(net.Nodes)-1]
 }
 
-// ReplayLayer is Replay with node nodeID computed by layer in place of
-// its own — weight profiling passes a shallow copy of the node's layer
+// Replay re-executes the sub-graph downstream of nodeID from the cached
+// exact activations acts and returns the logits (owned by the
+// Session): node nodeID computes with layer in place of its own and on
+// its first input perturbed by inject, then exactly the plan's
+// precomputed downstream set reruns. This is what makes per-layer
+// profiling affordable: injecting at layer K costs only the K..Ł
+// suffix. Weight profiling passes a shallow copy of the node's layer
 // holding worker-private perturbed weights, so the shared network is
 // only read. A nil layer keeps the node's own; a nil inject leaves the
-// node's input exact.
-func (s *Session) ReplayLayer(acts []*tensor.Tensor, nodeID int, layer nn.Layer, inject nn.Injector) *tensor.Tensor {
+// node's input exact. acts is only read.
+func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, layer nn.Layer, inject nn.Injector) *tensor.Tensor {
 	net := s.plan.net
 	if nodeID <= 0 || nodeID >= len(net.Nodes) {
 		panic(fmt.Sprintf("exec: Replay node %d out of range", nodeID))
@@ -186,36 +196,4 @@ func (s *Session) flushStats() {
 	m.ArenaReuses.Add(s.statReuses)
 	m.ArenaAllocs.Add(s.statAllocs)
 	s.statReuses, s.statAllocs = 0, 0
-}
-
-// ForwardInject runs a full forward pass with the per-node injection
-// plan applied (each injected node sees a privately perturbed copy of
-// its first input, exactly like nn.ForwardInject). The returned logits
-// are owned by the Session.
-func (s *Session) ForwardInject(x *tensor.Tensor, inject map[int]nn.Injector) *tensor.Tensor {
-	net := s.plan.net
-	batch := x.Shape[0]
-	s.cur[0] = x
-	for _, nd := range net.Nodes[1:] {
-		ins := s.gather(nd)
-		if fn, ok := inject[nd.ID]; ok {
-			cp := s.injectCopy(nd.ID, ins[0])
-			fn(cp)
-			ins[0] = cp
-		}
-		s.step(nd.Layer, nd.ID, ins, batch)
-	}
-	s.flushStats()
-	return s.cur[len(net.Nodes)-1]
-}
-
-// Forward runs a plain full forward pass through the arenas and
-// returns the logits (owned by the Session).
-//
-// Note: cached-activation slices fed to Replay must come from an
-// allocating pass (nn.Network.ForwardAll), never from this Session's
-// own buffers — Replay writes into those buffers and would corrupt
-// the cache.
-func (s *Session) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return s.ForwardInject(x, nil)
 }

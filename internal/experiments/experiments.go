@@ -11,6 +11,7 @@ import (
 
 	"mupod/internal/core"
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
@@ -74,7 +75,7 @@ func (o Opts) searchOptions(relDrop float64) search.Options {
 // exactAccuracy is the exact (no-injection, hence stateless) top-1
 // evaluation, parallel across batches on o.Workers.
 func exactAccuracy(ctx context.Context, l loaded, n int, o Opts) float64 {
-	acc, _ := search.AccuracyStatelessOn(ctx, o.Workers, o.Kernel, l.net, l.test, n, 32, nil)
+	acc, _ := exec.Accuracy(ctx, o.Workers, o.Kernel, l.net, l.test, n, 32, nil)
 	return acc
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mupod/internal/exec"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
 	"mupod/internal/search"
@@ -95,7 +96,12 @@ func Fig3(ctx context.Context, a zoo.Arch, sigmas []float64, repeats int, o Opts
 			xi[k] = 0.8
 			r := rng.New(o.Seed ^ uint64(k)<<8 ^ 0xf19)
 			plan := search.XiPlan(prof, sigma, xi, r)
-			acc := search.Accuracy(l.net, l.test, o.EvalImages, 32, plan)
+			// The plan's injectors carry RNGs, so batches run in order on
+			// one worker.
+			acc, err := exec.Accuracy(ctx, 1, o.Kernel, l.net, l.test, o.EvalImages, 32, plan)
+			if err != nil {
+				return nil, err
+			}
 			if acc < pt.CornerMin {
 				pt.CornerMin = acc
 			}
@@ -126,13 +132,14 @@ func outputErrorHistogram(l loaded, prof *profile.Profile, sigma float64, o Opts
 		n = l.test.Len()
 	}
 	batch := l.test.Batch(0, n)
-	exact := l.net.Forward(batch)
+	sess := exec.NewSessionPolicy(exec.NewPlan(l.net), o.Kernel)
+	exact := sess.Forward(batch, nil).Clone()
 	r := rng.New(o.Seed ^ 0x4157)
 	var errs []float64
 	// Multiple noise realizations to reach a smooth histogram.
 	for rep := 0; rep < 6; rep++ {
 		plan := search.Scheme1Plan(prof, sigma, r)
-		out := l.net.ForwardInject(batch, plan)
+		out := sess.Forward(batch, plan)
 		for i := range out.Data {
 			errs = append(errs, out.Data[i]-exact.Data[i])
 		}

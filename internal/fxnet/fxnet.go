@@ -26,6 +26,7 @@ import (
 	"mupod/internal/core"
 	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/tensor"
 )
@@ -116,7 +117,9 @@ func Run(net *nn.Network, alloc *core.Allocation, cfg Config, x *tensor.Tensor) 
 		}
 		f, quantized := formats[nd.ID]
 		if !quantized {
-			acts[nd.ID] = nd.Layer.Forward(ins)
+			out := tensor.New(append([]int{x.Shape[0]}, nd.Shape...)...)
+			nn.ForwardLayer(kernels.Default(), nd.Layer, ins, out, nil)
+			acts[nd.ID] = out
 			continue
 		}
 		out, lr, err := integerForward(nd, ins[0], f, wFormats[nd.ID])

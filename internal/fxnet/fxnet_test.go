@@ -1,15 +1,17 @@
 package fxnet
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
 	"mupod/internal/baseline"
 	"mupod/internal/core"
+	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
+	"mupod/internal/kernels"
 	"mupod/internal/profile"
-	"mupod/internal/search"
 	"mupod/internal/testnet"
 )
 
@@ -48,7 +50,7 @@ func TestIntegerMatchesFloatSimulation(t *testing.T) {
 	// Float-simulated: quantize weights in place, inject input
 	// quantization, ordinary float forward.
 	restore := baseline.QuantizeWeights(net, wBits)
-	floatOut := net.ForwardInject(batch, alloc.InjectionPlan())
+	floatOut := exec.NewSession(exec.NewPlan(net)).Forward(batch, alloc.InjectionPlan())
 	restore()
 
 	intOut, rep, err := Run(net, alloc, Config{WeightBits: wBits}, batch)
@@ -116,7 +118,10 @@ func TestAccuracyIntegerPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := search.Accuracy(net, te, 120, 32, nil)
+	exact, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 120, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc < exact-0.05 {
 		t.Fatalf("10-bit integer inference accuracy %v vs exact %v", acc, exact)
 	}

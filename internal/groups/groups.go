@@ -26,7 +26,6 @@ import (
 	"mupod/internal/optimize"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
-	"mupod/internal/search"
 	"mupod/internal/tensor"
 )
 
@@ -229,7 +228,7 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		}
 	}
 
-	sigmas, err := profile.Sweep(ctx, exec.NewEvaluator(pc.Workers), net, acts, pc.Kernel, targets)
+	sigmas, err := profile.Sweep(ctx, exec.NewPool(net, pc.Workers, pc.Kernel), acts, targets)
 	if err != nil {
 		return nil, fmt.Errorf("groups: %w", err)
 	}
@@ -354,6 +353,6 @@ func Allocate(prof *Profile, sigmaYL float64, deltaFloor float64) (*Allocation, 
 // Group quantizers are stateless, so the evaluation runs on GOMAXPROCS
 // workers with a bit-identical result at any worker count.
 func Validate(net *nn.Network, ds *dataset.Dataset, n int, a *Allocation) float64 {
-	acc, _ := search.AccuracyStateless(context.Background(), 0, net, ds, n, 32, a.InjectionPlan())
+	acc, _ := exec.Accuracy(context.Background(), 0, kernels.Policy{}, net, ds, n, 32, a.InjectionPlan())
 	return acc
 }

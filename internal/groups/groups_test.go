@@ -1,9 +1,12 @@
 package groups
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/profile"
 	"mupod/internal/search"
 	"mupod/internal/testnet"
@@ -98,7 +101,10 @@ func TestAllocateAndValidate(t *testing.T) {
 		t.Fatalf("Σξ = %v", xiSum)
 	}
 
-	exact := search.Accuracy(net, te, 0, 32, nil)
+	exact, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 0, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	acc := Validate(net, te, 0, alloc)
 	if acc < exact*(1-0.05)-0.03 {
 		t.Fatalf("group-quantized accuracy %v vs exact %v", acc, exact)

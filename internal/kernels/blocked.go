@@ -477,35 +477,6 @@ func denseRows(n, in, out, o0, o1 int, x, w, bias, y []float64) {
 	}
 }
 
-// Axpy computes y[i] += alpha·x[i] over len(x) elements, serially
-// (memory-bound, not worth sharding), 4-way unrolled in order.
-func (be Backend) Axpy(alpha float64, x, y []float64) {
-	countDispatch(be.impl, opAxpy)
-	y = y[:len(x)]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Dot returns Σ x[i]·y[i] accumulated in ascending i. A single
-// accumulator keeps the contract's order, so the sum is never sharded
-// (multi-accumulator unrolls would reassociate it).
-func (be Backend) Dot(x, y []float64) float64 {
-	countDispatch(be.impl, opDot)
-	acc := 0.0
-	for i, xv := range x {
-		acc += xv * y[i]
-	}
-	return acc
-}
-
 // Fan runs f(0..n-1), each call writing a disjoint slice of the
 // output: inline below 2 workers, otherwise sharded across them. Calls
 // may run in any order and concurrently; f must not depend on ordering.

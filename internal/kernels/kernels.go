@@ -16,7 +16,7 @@
 //
 // Reduction-order contract: each output element is bias + Σ terms in
 // one fixed ascending order (ascending l for GEMM, ascending (kh,kw)
-// for convolutions, ascending i for dense and dot). Work is only ever
+// for convolutions, ascending i for dense). Work is only ever
 // sharded across disjoint output elements, never across the reduction
 // dimension, so every policy gives the same bits at any worker count.
 // Caches therefore ignore the kernel policy, as they ignore worker

@@ -427,17 +427,20 @@ func TestDispatchMetrics(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	c := make([]float64, 4)
 	be.GEMM(2, 2, 2, a, a, nil, c)
-	be.Dot(a, a)
+	be.Fan(2, func(int) {})
 	if got := m.Dispatch("blocked", "gemm").Value(); got != 1 {
 		t.Fatalf("gemm dispatch count = %d", got)
 	}
-	if got := m.Dispatch("blocked", "dot").Value(); got != 1 {
-		t.Fatalf("dot dispatch count = %d", got)
+	if got := m.Dispatch("blocked", "fan").Value(); got != 1 {
+		t.Fatalf("fan dispatch count = %d", got)
 	}
 	// Calls count under the policy name they were resolved from.
-	MustNew(Policy{Impl: "parallel", IntraWorkers: 2}).Dot(a, a)
-	if got := m.Dispatch("parallel", "dot").Value(); got != 1 {
-		t.Fatalf("parallel dot dispatch count = %d", got)
+	MustNew(Policy{Impl: "parallel", IntraWorkers: 2}).Fan(2, func(int) {})
+	if got := m.Dispatch("parallel", "fan").Value(); got != 1 {
+		t.Fatalf("parallel fan dispatch count = %d", got)
+	}
+	if m.Dispatch("blocked", "dot") != nil || m.Dispatch("parallel", "axpy") != nil {
+		t.Fatal("retired ops should have no counter")
 	}
 	if m.Dispatch("blocked", "nope") != nil || m.Dispatch("nope", "gemm") != nil || m.Dispatch("naive", "gemm") != nil {
 		t.Fatal("unknown labels should return nil")

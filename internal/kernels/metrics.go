@@ -28,13 +28,11 @@ const (
 	opIm2col
 	opDWConv
 	opDense
-	opAxpy
-	opDot
 	opFan
 	numOps
 )
 
-var opNames = [numOps]string{"gemm", "im2col", "dwconv", "dense", "axpy", "dot", "fan"}
+var opNames = [numOps]string{"gemm", "im2col", "dwconv", "dense", "fan"}
 
 // Metrics is the kernel-layer counter set:
 // mupod_kernel_dispatch_total{impl,op} counts kernel invocations per

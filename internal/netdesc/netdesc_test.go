@@ -44,8 +44,8 @@ func TestParseBuildsNetwork(t *testing.T) {
 		t.Fatal("seeded parse left zero weights")
 	}
 	// And the network must actually run.
-	out := net.Forward(tensor.New(2, 3, 8, 8))
-	if out.Shape[0] != 2 || out.Shape[1] != 10 {
+	acts := net.ForwardAll(tensor.New(2, 3, 8, 8))
+	if out := acts[len(acts)-1]; out.Shape[0] != 2 || out.Shape[1] != 10 {
 		t.Fatalf("forward shape %v", out.Shape)
 	}
 }
@@ -145,8 +145,8 @@ gap g in=p
 		t.Fatal(err)
 	}
 	// maxpool stride defaults to k.
-	out := net.Forward(tensor.New(1, 2, 4, 4))
-	if out.Shape[1] != 2 {
+	acts := net.ForwardAll(tensor.New(1, 2, 4, 4))
+	if out := acts[len(acts)-1]; out.Shape[1] != 2 {
 		t.Fatalf("forward shape %v", out.Shape)
 	}
 }

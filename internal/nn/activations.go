@@ -18,14 +18,6 @@ func (ReLU) Kind() string { return "relu" }
 // OutShape implements Layer.
 func (ReLU) OutShape(in [][]int) []int { return append([]int(nil), in[0]...) }
 
-// Forward implements Layer.
-func (ReLU) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("relu", ins, 1)
-	out := tensor.New(ins[0].Shape...)
-	ReLU{}.ForwardInto(ins, out, nil)
-	return out
-}
-
 // Backward implements Layer, gating gradients by the sign of the input.
 func (ReLU) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
 	x := ins[0]

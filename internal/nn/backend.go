@@ -15,6 +15,19 @@ type BackendForwarder interface {
 	ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
 }
 
+// ForwardLayer computes l's forward pass on ins into out, on be when l
+// is a BackendForwarder and with ForwardInto when it is an
+// IntoForwarder; AddNode admits no other layer. out and scratch follow
+// the IntoForwarder contract. Every float pass runs its layers through
+// it: internal/exec's pooled passes, ForwardAll, and the float nodes of
+// internal/fxnet's integer datapath.
+func ForwardLayer(be kernels.Backend, l Layer, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
+	if f, ok := l.(BackendForwarder); ok {
+		return f.ForwardIntoOn(be, ins, out, scratch)
+	}
+	return l.(IntoForwarder).ForwardInto(ins, out, scratch)
+}
+
 // convGeom builds the kernel-layer geometry for one conv/pool call.
 func convGeom(h, w, k, stride, pad, oh, ow int) kernels.ConvGeom {
 	return kernels.ConvGeom{H: h, W: w, K: k, Stride: stride, Pad: pad, OH: oh, OW: ow}

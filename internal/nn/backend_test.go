@@ -45,9 +45,11 @@ func TestConvBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestForwardMatchesForwardIntoOnDefault pins each kernel layer's
-// Forward to ForwardIntoOn on the default backend, bitwise.
-func TestForwardMatchesForwardIntoOnDefault(t *testing.T) {
+// TestForwardLayerDispatch pins which forward interface each layer
+// kind implements, exactly one of the two, and that ForwardLayer runs
+// the kernel layers on the backend it is given and the rest through
+// ForwardInto, bitwise.
+func TestForwardLayerDispatch(t *testing.T) {
 	r := rng.New(34)
 	conv := NewConv2D(2, 3, 3, 1, 1)
 	conv.InitHe(r, 1)
@@ -56,14 +58,42 @@ func TestForwardMatchesForwardIntoOnDefault(t *testing.T) {
 	fc := NewDense(2*6*6, 4)
 	fc.InitHe(r, 1)
 	x := randTensor(r, 2, 2, 6, 6)
-	for _, l := range []Layer{conv, dw, fc, NewMaxPool2D(2, 2), NewAvgPool2D(2, 2), GlobalAvgPool{}} {
-		ins := []*tensor.Tensor{x}
-		a := l.Forward(ins)
-		b := tensor.New(a.Shape...)
-		l.(BackendForwarder).ForwardIntoOn(kernels.Default(), ins, b, nil)
-		for i := range a.Data {
-			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-				t.Fatalf("%s: Forward and default-backend ForwardIntoOn disagree at element %d", l.Kind(), i)
+	y := randTensor(r, 2, 2, 6, 6)
+	be := kernels.MustNew(kernels.Policy{Impl: "parallel", IntraWorkers: 2})
+	for _, tc := range []struct {
+		l       Layer
+		ins     []*tensor.Tensor
+		backend bool
+	}{
+		{conv, []*tensor.Tensor{x}, true},
+		{dw, []*tensor.Tensor{x}, true},
+		{fc, []*tensor.Tensor{x}, true},
+		{NewMaxPool2D(2, 2), []*tensor.Tensor{x}, true},
+		{NewAvgPool2D(2, 2), []*tensor.Tensor{x}, true},
+		{GlobalAvgPool{}, []*tensor.Tensor{x}, true},
+		{ReLU{}, []*tensor.Tensor{x}, false},
+		{Flatten{}, []*tensor.Tensor{x}, false},
+		{Add{}, []*tensor.Tensor{x, y}, false},
+		{Concat{}, []*tensor.Tensor{x, y}, false},
+	} {
+		bf, isBackend := tc.l.(BackendForwarder)
+		inf, isInto := tc.l.(IntoForwarder)
+		if isBackend != tc.backend || isInto == tc.backend {
+			t.Fatalf("%s: BackendForwarder %v, IntoForwarder %v; want exactly the %v one", tc.l.Kind(), isBackend, isInto, tc.backend)
+		}
+		want := forward(tc.l, tc.ins...)
+		want.Fill(math.NaN())
+		if tc.backend {
+			bf.ForwardIntoOn(be, tc.ins, want, nil)
+		} else {
+			inf.ForwardInto(tc.ins, want, nil)
+		}
+		got := tensor.New(want.Shape...)
+		got.Fill(math.NaN())
+		ForwardLayer(be, tc.l, tc.ins, got, nil)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: ForwardLayer and the layer's own forward disagree at element %d", tc.l.Kind(), i)
 			}
 		}
 	}

@@ -26,14 +26,6 @@ func (Add) OutShape(in [][]int) []int {
 	return append([]int(nil), in[0]...)
 }
 
-// Forward implements Layer.
-func (Add) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("add", ins, 2)
-	out := tensor.New(ins[0].Shape...)
-	Add{}.ForwardInto(ins, out, nil)
-	return out
-}
-
 // Backward implements Layer.
 func (Add) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
 	return []*tensor.Tensor{gradOut.Clone(), gradOut.Clone()}
@@ -59,17 +51,6 @@ func (Concat) OutShape(in [][]int) []int {
 		c += s[1]
 	}
 	return []int{in[0][0], c, in[0][2], in[0][3]}
-}
-
-// Forward implements Layer.
-func (Concat) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	shapes := make([][]int, len(ins))
-	for i, t := range ins {
-		shapes[i] = t.Shape
-	}
-	out := tensor.New(Concat{}.OutShape(shapes)...)
-	Concat{}.ForwardInto(ins, out, nil)
-	return out
 }
 
 // Backward implements Layer, splitting the gradient back per input.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mupod/internal/kernels"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 )
@@ -78,17 +77,6 @@ func (c *Conv2D) MACs(in [][]int) int {
 // Params implements Parameterized.
 func (c *Conv2D) Params() []Param {
 	return []Param{{"W", c.W, c.dW}, {"B", c.B, c.dB}}
-}
-
-// Forward implements Layer via im2col+GEMM on the default kernel
-// backend. The loops live in internal/kernels behind ForwardIntoOn;
-// pooled execution (internal/exec) calls ForwardIntoOn directly to skip
-// the per-call output allocation and pick its own backend.
-func (c *Conv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("conv", ins, 1)
-	out := tensor.New(c.OutShape([][]int{ins[0].Shape})...)
-	c.ForwardIntoOn(kernels.Default(), ins, out, nil)
-	return out
 }
 
 // Backward implements Layer: accumulates dW/dB and returns dX.
@@ -198,14 +186,6 @@ func (d *DepthwiseConv2D) MACs(in [][]int) int {
 // Params implements Parameterized.
 func (d *DepthwiseConv2D) Params() []Param {
 	return []Param{{"W", d.W, d.dW}, {"B", d.B, d.dB}}
-}
-
-// Forward implements Layer.
-func (d *DepthwiseConv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("dwconv", ins, 1)
-	out := tensor.New(d.OutShape([][]int{ins[0].Shape})...)
-	d.ForwardIntoOn(kernels.Default(), ins, out, nil)
-	return out
 }
 
 // Backward implements Layer.

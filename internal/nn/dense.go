@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mupod/internal/kernels"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 )
@@ -64,15 +63,6 @@ func (d *Dense) Params() []Param {
 	return []Param{{"W", d.W, d.dW}, {"B", d.B, d.dB}}
 }
 
-// Forward implements Layer. Inputs of any rank are treated as
-// [N, features].
-func (d *Dense) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("fc", ins, 1)
-	out := tensor.New(ins[0].Shape[0], d.Out)
-	d.ForwardIntoOn(kernels.Default(), ins, out, nil)
-	return out
-}
-
 // Backward implements Layer.
 func (d *Dense) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
 	x := ins[0]
@@ -109,15 +99,6 @@ func (Flatten) Kind() string { return "flatten" }
 func (Flatten) OutShape(in [][]int) []int {
 	s := in[0]
 	return []int{s[0], shapeSize(s[1:])}
-}
-
-// Forward implements Layer.
-func (Flatten) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("flatten", ins, 1)
-	x := ins[0]
-	out := tensor.New(x.Shape[0], shapeSize(x.Shape[1:]))
-	Flatten{}.ForwardInto(ins, out, nil)
-	return out
 }
 
 // Backward implements Layer.

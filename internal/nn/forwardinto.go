@@ -6,10 +6,11 @@ import (
 	"mupod/internal/tensor"
 )
 
-// IntoForwarder is implemented by layers that can compute their forward
-// pass into a caller-provided output tensor, enabling allocation-free
-// replays (internal/exec pools one output buffer per node and reuses it
-// across thousands of profiling replays).
+// IntoForwarder is implemented by the layers with no kernel math
+// (ReLU, flatten, add, concat): they compute their forward pass into a
+// caller-provided output tensor, enabling allocation-free replays
+// (internal/exec pools one output buffer per node and reuses it across
+// thousands of profiling replays).
 //
 // Contract: out must have the layer's exact output element count for
 // the given inputs (shape metadata is trusted, not checked on the hot

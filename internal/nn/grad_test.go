@@ -18,13 +18,13 @@ func numericalCheck(t *testing.T, l Layer, ins []*tensor.Tensor, seed uint64) {
 	const tol = 1e-5
 	r := rng.New(seed)
 
-	out := l.Forward(ins)
+	out := forward(l, ins...)
 	g := tensor.New(out.Shape...)
 	for i := range g.Data {
 		g.Data[i] = r.Uniform(-1, 1)
 	}
 	loss := func() float64 {
-		o := l.Forward(ins)
+		o := forward(l, ins...)
 		s := 0.0
 		for i, v := range o.Data {
 			s += v * g.Data[i]

@@ -2,13 +2,17 @@
 // precision-optimization pipeline runs on (the paper used Caffe). It
 // provides the layer types found in the eight evaluated architectures
 // (convolution, depthwise convolution, fully connected, ReLU, max/avg
-// pooling, residual add, channel concat) arranged in a DAG Network, a
-// forward pass with per-node activation taps, and the noise-injection
-// hooks that internal/profile and internal/search build on.
+// pooling, residual add, channel concat) arranged in a DAG Network,
+// their forward math and gradients, and ForwardAll, the allocating
+// pass that returns every node's activation for training and for the
+// cached exact activations replays start from. Inference passes, exact
+// or with noise injected, run in internal/exec on pooled buffers
+// through ForwardLayer.
 //
-// Layers are stateless: Forward and Backward are pure functions of
-// their arguments, which lets the profiler replay arbitrary sub-graphs
-// from cached activations without worrying about hidden layer state.
+// Layers are stateless: the forward pass only writes the caller's
+// output buffer and Backward is a pure function of its arguments, which
+// lets the profiler replay arbitrary sub-graphs from cached activations
+// without worrying about hidden layer state.
 package nn
 
 import (
@@ -18,15 +22,14 @@ import (
 )
 
 // Layer is one computational node type. Implementations must be
-// stateless: Forward allocates and returns a fresh output tensor, and
-// Backward must derive everything it needs from ins/out/gradOut.
+// stateless. Each also implements exactly one of BackendForwarder and
+// IntoForwarder for its forward pass (see ForwardLayer), and Backward
+// must derive everything it needs from ins/out/gradOut.
 type Layer interface {
 	// Kind returns a short lowercase identifier ("conv", "relu", ...).
 	Kind() string
 	// OutShape computes the output shape from the input shapes.
 	OutShape(in [][]int) []int
-	// Forward computes the layer output for the given inputs.
-	Forward(ins []*tensor.Tensor) *tensor.Tensor
 	// Backward returns the gradient with respect to each input, given
 	// the inputs, the forward output and the gradient of the loss with
 	// respect to that output. Parameterized layers must also accumulate

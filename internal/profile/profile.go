@@ -37,7 +37,7 @@ type Config struct {
 	// regression (paper: 20; default 12).
 	Points int
 	// DeltaLoFrac / DeltaHiFrac bound the injected Δ sweep as fractions
-	// of the layer input's max |x| (defaults 2^-10 and 2^-2). The sweep
+	// of the layer input's max |x| (defaults 2^-9 and 2^-4). The sweep
 	// is logarithmically spaced.
 	DeltaLoFrac, DeltaHiFrac float64
 	// Seed drives the injected noise.
@@ -267,7 +267,7 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 	}
 	sctx, ssp := obs.Start(ctx, "profile.sweep",
 		obs.KV("layers", len(targets)), obs.KV("items", items))
-	sigmas, err := Sweep(sctx, exec.NewEvaluator(cfg.Workers), net, acts, cfg.Kernel, targets)
+	sigmas, err := Sweep(sctx, exec.NewPool(net, cfg.Workers, cfg.Kernel), acts, targets)
 	ssp.End()
 	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
@@ -341,8 +341,8 @@ type Target struct {
 	RNGs    []*rng.RNG // one noise stream per (point, repeat), point-major
 	// Perturb builds one replay's perturbation at Δ = delta from its
 	// noise stream: a stand-in for NodeID's layer, an injector for its
-	// input, or both (see exec.Session.ReplayLayer). worker, in
-	// [0, Workers()) of the sweep's evaluator, indexes the caller's
+	// input, or both (see exec.Session.Replay). worker, in
+	// [0, Workers()) of the sweep's pool, indexes the caller's
 	// per-worker scratch.
 	Perturb func(worker int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector)
 }
@@ -371,14 +371,14 @@ func (c Config) Target(nodeID int, maxAbs float64, repeats int, seed uint64,
 
 // Sweep is the one injection-sweep engine (Sec. V-A) behind the
 // activation, channel-group and weight profilers. It flattens every
-// (target, point, repeat) replay from the exact activations acts into
-// one work list, fans it out on ev with one exec.Session per worker,
-// and pools each point's output error over its repeats, in that fixed
+// (target, point, repeat) replay from the exact activations acts of
+// the pool's network into one work list, fans it out on pool, and
+// pools each point's output error over its repeats, in that fixed
 // order, into sigmas[target][point] = σ_{Y→Ł}. Noise streams are
 // pre-split per item, so the result is bit-identical at every worker
-// count.
-func Sweep(ctx context.Context, ev *exec.Evaluator, net *nn.Network, acts []*tensor.Tensor,
-	pol kernels.Policy, targets []Target) ([][]float64, error) {
+// count. Each replay records its kernel spans under its own item's
+// span when ctx carries a tracer.
+func Sweep(ctx context.Context, pool *exec.Pool, acts []*tensor.Tensor, targets []Target) ([][]float64, error) {
 	type workItem struct{ target, pt, rep int }
 	var items []workItem
 	for k := range targets {
@@ -393,27 +393,16 @@ func Sweep(ctx context.Context, ev *exec.Evaluator, net *nn.Network, acts []*ten
 	exact := acts[len(acts)-1]
 	stride := exact.Len()
 	diffs := make([]float64, len(items)*stride)
-	if pol.IntraWorkers == 0 {
-		// Inter-item replay parallelism has priority; intra-op tiling
-		// spends whatever cores the sweep pool leaves idle.
-		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
-	}
-	plan := exec.NewPlan(net)
-	sessions := make([]*exec.Session, ev.Workers())
-	err := ev.Map(ctx, len(items), func(ctx context.Context, worker, i int) error {
+	err := pool.Map(ctx, len(items), func(ctx context.Context, worker, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sess := sessions[worker]
-		if sess == nil {
-			sess = exec.NewSessionPolicy(plan, pol)
-			sess.Trace(ctx)
-			sessions[worker] = sess
-		}
+		sess := pool.Session(worker)
+		sess.Trace(ctx)
 		it := items[i]
 		t := &targets[it.target]
 		layer, inject := t.Perturb(worker, t.RNGs[it.pt*t.Repeats+it.rep], t.Deltas[it.pt])
-		out := sess.ReplayLayer(acts, t.NodeID, layer, inject)
+		out := sess.Replay(acts, t.NodeID, layer, inject)
 		dst := diffs[i*stride : (i+1)*stride]
 		for j := range dst {
 			dst[j] = out.Data[j] - exact.Data[j]

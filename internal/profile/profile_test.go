@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
+	"mupod/internal/obs"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 	"mupod/internal/testnet"
@@ -188,6 +191,7 @@ func TestEq6VarianceAdditivity(t *testing.T) {
 	batch := te.Batch(0, 24)
 	acts := net.ForwardAll(batch)
 	exact := acts[len(acts)-1]
+	sess := exec.NewSession(exec.NewPlan(net))
 
 	nodes := net.AnalyzableNodes()
 	deltas := map[int]float64{}
@@ -202,7 +206,7 @@ func TestEq6VarianceAdditivity(t *testing.T) {
 		var pooled []float64
 		base := rng.New(uint64(id) * 7919)
 		for rep := 0; rep < reps; rep++ {
-			out := net.ReplayFrom(acts, id, UniformInjector(base.Split(), delta, false))
+			out := sess.Replay(acts, id, nil, UniformInjector(base.Split(), delta, false))
 			for i := range diff {
 				pooled = append(pooled, out.Data[i]-exact.Data[i])
 			}
@@ -224,7 +228,7 @@ func TestEq6VarianceAdditivity(t *testing.T) {
 		for _, id := range nodes {
 			plan[id] = UniformInjector(base.Split(), deltas[id], false)
 		}
-		out := net.ForwardInject(batch, plan)
+		out := sess.Forward(batch, plan)
 		for i := range exact.Data {
 			combined = append(combined, out.Data[i]-exact.Data[i])
 		}
@@ -275,5 +279,65 @@ func TestConfigNormalizedIdempotent(t *testing.T) {
 	}
 	if n != n.Normalized() {
 		t.Fatal("Normalized is not idempotent")
+	}
+}
+
+// TestSweepGEMMSpansNestUnderTheirItem: a sweep worker reuses one
+// session across items, and every kernels.gemm span a replay records
+// must hang off that replay's own exec.item span and lie inside its
+// interval, not off the first item the session ran.
+func TestSweepGEMMSpansNestUnderTheirItem(t *testing.T) {
+	r := rng.New(3)
+	net := nn.NewNetwork("wide", []int{64, 16, 16}, 4)
+	conv := nn.NewConv2D(64, 64, 3, 1, 1) // 64×256×576 MACs per image, above the span gate
+	conv.InitHe(r, 1)
+	id := net.AddNode("conv", conv, 0)
+	id = net.AddNode("gap", nn.GlobalAvgPool{}, id)
+	fc := nn.NewDense(64, 4)
+	fc.InitHe(r, 1)
+	net.AddNode("fc", fc, id)
+	x := tensor.New(2, 64, 16, 16)
+	for i := range x.Data {
+		x.Data[i] = r.Uniform(-1, 1)
+	}
+	acts := net.ForwardAll(x)
+	target := Config{Points: 3}.withDefaults().Target(1, acts[0].MaxAbs(), 3, 1,
+		func(_ int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector) {
+			return nil, UniformInjector(r, delta, false)
+		})
+
+	tr := obs.NewTracer(0)
+	ctx := obs.WithTracer(context.Background(), tr)
+	if _, err := Sweep(ctx, exec.NewPool(net, 1, kernels.Policy{}), acts, []Target{target}); err != nil {
+		t.Fatal(err)
+	}
+	items := map[int64]*obs.Span{}
+	var gemms []*obs.Span
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case "exec.item":
+			items[sp.ID] = sp
+		case "kernels.gemm":
+			gemms = append(gemms, sp)
+		}
+	}
+	if len(items) != 9 || len(gemms) != 2*len(items) { // one conv GEMM per image per replay
+		t.Fatalf("%d kernels.gemm spans for %d exec.item spans, want 18 for 9", len(gemms), len(items))
+	}
+	perItem := map[int64]int{}
+	for _, g := range gemms {
+		it := items[g.ParentID]
+		if it == nil {
+			t.Fatalf("kernels.gemm span's parent %d is not an exec.item span", g.ParentID)
+		}
+		if g.Start.Before(it.Start) || g.Start.Add(g.Dur).After(it.Start.Add(it.Dur)) {
+			t.Fatalf("kernels.gemm span [%v, +%v] lies outside its exec.item span [%v, +%v]", g.Start, g.Dur, it.Start, it.Dur)
+		}
+		perItem[g.ParentID]++
+	}
+	for id, n := range perItem {
+		if n != 2 {
+			t.Fatalf("exec.item span %d parents %d kernels.gemm spans, want 2", id, n)
+		}
 	}
 }

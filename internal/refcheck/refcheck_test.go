@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/optimize"
@@ -23,19 +24,40 @@ func randTensor(r *rng.RNG, shape ...int) *tensor.Tensor {
 }
 
 // The reference network forward must agree with the allocating nn path
-// and the pooled exec path on every zoo fixture — this is the
-// differential test the whole package exists for.
+// and the pooled exec path on every zoo fixture, exact and with an
+// injection at every analyzable node — this is the differential test
+// the whole package exists for.
 func TestReferenceMatchesFastPathsOverZoo(t *testing.T) {
+	// A position-keyed bump keeps the injected noise identical on both
+	// sides whatever values the two paths compute.
+	bump := func(x *tensor.Tensor) {
+		for i := range x.Data {
+			x.Data[i] += 0.01 * float64(i%3-1)
+		}
+	}
 	for _, f := range testnet.Zoo() {
 		x := f.Test.Batch(0, 24)
-		ref := ForwardNetwork(f.Net, x)
-		fast := f.Net.Forward(x)
-		diff, err := CompareTensors(fast, ref)
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+		plan := map[int]nn.Injector{}
+		for _, id := range f.Net.AnalyzableNodes() {
+			plan[id] = bump
 		}
-		if diff > ForwardTol {
-			t.Errorf("%s: nn.Forward diverges from reference by %g", f.Name, diff)
+		acts := f.Net.ForwardAll(x)
+		sess := exec.NewSession(exec.NewPlan(f.Net))
+		for _, tc := range []struct {
+			name      string
+			fast, ref *tensor.Tensor
+		}{
+			{"nn.ForwardAll", acts[len(acts)-1], ForwardNetwork(f.Net, x, nil)},
+			{"exec Forward", sess.Forward(x, nil).Clone(), ForwardNetwork(f.Net, x, nil)},
+			{"injected exec Forward", sess.Forward(x, plan), ForwardNetwork(f.Net, x, plan)},
+		} {
+			diff, err := CompareTensors(tc.fast, tc.ref)
+			if err != nil {
+				t.Fatalf("%s %s: %v", f.Name, tc.name, err)
+			}
+			if diff > ForwardTol {
+				t.Errorf("%s: %s diverges from reference by %g", f.Name, tc.name, diff)
+			}
 		}
 	}
 }

@@ -267,14 +267,20 @@ func ForwardLayer(l nn.Layer, ins []*tensor.Tensor) *tensor.Tensor {
 
 // ForwardNetwork runs a full forward pass through the reference
 // kernels, following the network's topological node order, and returns
-// the logits.
-func ForwardNetwork(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
+// the logits. Each node in inject (nil = exact) computes on its own
+// perturbed copy of its first input, leaving the activation other
+// consumers read untouched.
+func ForwardNetwork(net *nn.Network, x *tensor.Tensor, inject map[int]nn.Injector) *tensor.Tensor {
 	acts := make([]*tensor.Tensor, len(net.Nodes))
 	acts[0] = x
 	for _, nd := range net.Nodes[1:] {
 		ins := make([]*tensor.Tensor, len(nd.Inputs))
 		for i, id := range nd.Inputs {
 			ins[i] = acts[id]
+		}
+		if fn, ok := inject[nd.ID]; ok {
+			ins[0] = ins[0].Clone()
+			fn(ins[0])
 		}
 		acts[nd.ID] = ForwardLayer(nd.Layer, ins)
 	}

@@ -141,19 +141,14 @@ func (s *runState) checkForward(ctx context.Context, f testnet.Fixture) error {
 	const batch, nBatches = 16, 4
 	ref := make([]*tensor.Tensor, nBatches)
 	for b := 0; b < nBatches; b++ {
-		ref[b] = ForwardNetwork(f.Net, f.Test.Batch(b*batch, batch))
+		ref[b] = ForwardNetwork(f.Net, f.Test.Batch(b*batch, batch), nil)
 	}
 	var outs [][]*tensor.Tensor
 	for _, workers := range []int{1, s.opts.Workers} {
-		ev := exec.NewEvaluator(workers)
-		plan := exec.NewPlan(f.Net)
-		sessions := make([]*exec.Session, ev.Workers())
+		pool := exec.NewPool(f.Net, workers, s.opts.Kernel)
 		got := make([]*tensor.Tensor, nBatches)
-		err := ev.Map(ctx, nBatches, func(ctx context.Context, worker, b int) error {
-			if sessions[worker] == nil {
-				sessions[worker] = exec.NewSessionPolicy(plan, s.opts.Kernel)
-			}
-			got[b] = sessions[worker].Forward(f.Test.Batch(b*batch, batch)).Clone()
+		err := pool.Map(ctx, nBatches, func(ctx context.Context, worker, b int) error {
+			got[b] = pool.Session(worker).Forward(f.Test.Batch(b*batch, batch), nil).Clone()
 			return nil
 		})
 		if err != nil {
@@ -190,11 +185,11 @@ func (s *runState) checkForward(ctx context.Context, f testnet.Fixture) error {
 func (s *runState) checkKernelBackends(f testnet.Fixture) {
 	const batch = 16
 	in := f.Test.Batch(0, batch)
-	ref := ForwardNetwork(f.Net, in)
+	ref := ForwardNetwork(f.Net, in, nil)
 	plan := exec.NewPlan(f.Net)
 
 	forward := func(pol kernels.Policy) *tensor.Tensor {
-		return exec.NewSessionPolicy(plan, pol).Forward(in).Clone()
+		return exec.NewSessionPolicy(plan, pol).Forward(in, nil).Clone()
 	}
 	outs := make(map[string]*tensor.Tensor)
 	for _, name := range kernels.Names() {

@@ -141,129 +141,6 @@ type Probe struct {
 	Pass     bool    `json:"pass"`
 }
 
-// runner bundles the execution machinery one search (or one guard
-// loop) reuses across its many accuracy evaluations: a replay plan, a
-// worker pool, and one arena session per worker.
-type runner struct {
-	ev       *exec.Evaluator
-	plan     *exec.Plan
-	pol      kernels.Policy
-	sessions []*exec.Session
-}
-
-func newRunner(net *nn.Network, workers int, pol kernels.Policy) *runner {
-	ev := exec.NewEvaluator(workers)
-	if pol.IntraWorkers == 0 {
-		// Inter-item parallelism has priority; intra-op tiling spends
-		// whatever cores the eval pool leaves idle.
-		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
-	}
-	return &runner{
-		ev:       ev,
-		plan:     exec.NewPlan(net),
-		pol:      pol,
-		sessions: make([]*exec.Session, ev.Workers()),
-	}
-}
-
-func (r *runner) session(worker int) *exec.Session {
-	if r.sessions[worker] == nil {
-		r.sessions[worker] = exec.NewSessionPolicy(r.plan, r.pol)
-	}
-	return r.sessions[worker]
-}
-
-// accuracy measures top-1 accuracy over the first n images, mapping
-// eval batches across the worker pool. planFor (optional) supplies a
-// per-batch injection plan — each plan must only be touched by its own
-// batch, which keeps stateful (RNG-carrying) injectors race-free.
-// noise (optional) perturbs a batch's logits in place before argmax
-// (Scheme 2). Per-batch correct counts are summed in batch order, so
-// the result is bit-identical at every worker count.
-func (r *runner) accuracy(ctx context.Context, ds *dataset.Dataset, n, batchSize int, planFor func(batch int) map[int]nn.Injector, noise func(batch int, logits *tensor.Tensor)) (float64, error) {
-	if n <= 0 || n > ds.Len() {
-		n = ds.Len()
-	}
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	nBatches := (n + batchSize - 1) / batchSize
-	correct := make([]int, nBatches)
-	err := r.ev.Map(ctx, nBatches, func(ctx context.Context, worker, b int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		start := b * batchSize
-		size := batchSize
-		if start+size > n {
-			size = n - start
-		}
-		var plan map[int]nn.Injector
-		if planFor != nil {
-			plan = planFor(b)
-		}
-		logits := r.session(worker).ForwardInject(ds.Batch(start, size), plan)
-		if noise != nil {
-			noise(b, logits)
-		}
-		c := 0
-		for i, p := range nn.Argmax(logits) {
-			if p == ds.Labels[start+i] {
-				c++
-			}
-		}
-		correct[b] = c
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, c := range correct {
-		total += c
-	}
-	return float64(total) / float64(n), nil
-}
-
-// Accuracy measures top-1 accuracy of net over the first n images of ds
-// with an optional per-node injection plan applied to every batch.
-//
-// The shared plan's injectors are invoked batch after batch on ONE
-// goroutine (stateful RNG injectors stay sound), so this path is
-// sequential; use AccuracyStateless for parallel evaluation with
-// stateless (e.g. quantizing) injectors.
-func Accuracy(net *nn.Network, ds *dataset.Dataset, n, batchSize int, inject map[int]nn.Injector) float64 {
-	r := newRunner(net, 1, kernels.Policy{})
-	planFor := func(int) map[int]nn.Injector { return inject }
-	if len(inject) == 0 {
-		planFor = nil
-	}
-	acc, _ := r.accuracy(context.Background(), ds, n, batchSize, planFor, nil)
-	return acc
-}
-
-// AccuracyStateless is the parallel variant of Accuracy for injection
-// plans whose injectors are pure functions of their input (quantizers,
-// or nil for exact accuracy): batches are mapped across workers and
-// may invoke the same injector concurrently. The result is
-// bit-identical at every worker count.
-func AccuracyStateless(ctx context.Context, workers int, net *nn.Network, ds *dataset.Dataset, n, batchSize int, inject map[int]nn.Injector) (float64, error) {
-	return AccuracyStatelessOn(ctx, workers, kernels.Policy{}, net, ds, n, batchSize, inject)
-}
-
-// AccuracyStatelessOn is AccuracyStateless computing on the kernel
-// backend named by pol — the policy-carrying variant the serving
-// daemon's guard loop uses so validation runs the same backend the
-// profile ran.
-func AccuracyStatelessOn(ctx context.Context, workers int, pol kernels.Policy, net *nn.Network, ds *dataset.Dataset, n, batchSize int, inject map[int]nn.Injector) (float64, error) {
-	r := newRunner(net, workers, pol)
-	planFor := func(int) map[int]nn.Injector { return inject }
-	if len(inject) == 0 {
-		planFor = nil
-	}
-	return r.accuracy(ctx, ds, n, batchSize, planFor, nil)
-}
-
 // Scheme1Plan builds the equal-scheme injection plan for a given σ_YŁ:
 // ξ_K = 1/Ł for every layer, Δ_XK from Eq. 7. Non-positive Δ (possible
 // when θ_K < 0 at tiny budgets) injects nothing.
@@ -309,17 +186,17 @@ func XiPlan(prof *profile.Profile, sigmaYL float64, xi []float64, r *rng.RNG) ma
 // with results bit-identical at every worker count.
 func EvaluateSigma(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) float64 {
 	opts = opts.withDefaults(ds)
-	acc, err := evaluateSigma(context.Background(), newRunner(net, opts.Workers, opts.Kernel), net, prof, ds, sigma, opts)
+	acc, err := evaluateSigma(context.Background(), exec.NewPool(net, opts.Workers, opts.Kernel), prof, ds, sigma, opts)
 	if err != nil {
 		panic(fmt.Sprintf("search: %v", err)) // unreachable without ctx cancellation
 	}
 	return acc
 }
 
-// evaluateSigma is EvaluateSigma against a caller-owned runner, so a
-// binary search reuses one plan and one set of arena sessions across
-// all its probes. opts must already be normalized.
-func evaluateSigma(ctx context.Context, rn *runner, net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) (float64, error) {
+// evaluateSigma is EvaluateSigma on a caller-owned pool, so a binary
+// search reuses one plan and one set of arena sessions across all its
+// probes. opts must already be normalized.
+func evaluateSigma(ctx context.Context, pool *exec.Pool, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) (float64, error) {
 	r := rng.New(opts.Seed ^ math.Float64bits(sigma))
 	n := opts.EvalImages
 	if n <= 0 || n > ds.Len() {
@@ -338,13 +215,13 @@ func evaluateSigma(ctx context.Context, rn *runner, net *nn.Network, prof *profi
 			for b := range plans {
 				plans[b] = Scheme1Plan(prof, sigma, r)
 			}
-			acc, err = rn.accuracy(ctx, ds, n, opts.BatchSize, func(b int) map[int]nn.Injector { return plans[b] }, nil)
+			acc, err = pool.Accuracy(ctx, ds, n, opts.BatchSize, func(b int) map[int]nn.Injector { return plans[b] }, nil)
 		case Scheme2Gaussian:
 			streams := make([]*rng.RNG, nBatches)
 			for b := range streams {
 				streams[b] = r.Split()
 			}
-			acc, err = rn.accuracy(ctx, ds, n, opts.BatchSize, nil, func(b int, logits *tensor.Tensor) {
+			acc, err = pool.Accuracy(ctx, ds, n, opts.BatchSize, nil, func(b int, logits *tensor.Tensor) {
 				rb := streams[b]
 				for i := range logits.Data {
 					logits.Data[i] += rb.NormalScaled(0, sigma)
@@ -384,9 +261,9 @@ func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds 
 		obs.KV("scheme", int(opts.Scheme)), obs.KV("rel_drop", opts.RelDrop),
 		obs.KV("eval_images", opts.EvalImages), obs.KV("tol", opts.Tol))
 	defer ssp.End()
-	rn := newRunner(net, opts.Workers, opts.Kernel)
+	pool := exec.NewPool(net, opts.Workers, opts.Kernel)
 	_, esp := obs.Start(ctx, "search.exact")
-	exact, err := rn.accuracy(ctx, ds, opts.EvalImages, opts.BatchSize, nil, nil)
+	exact, err := pool.Accuracy(ctx, ds, opts.EvalImages, opts.BatchSize, nil, nil)
 	esp.End()
 	if err != nil {
 		return nil, fmt.Errorf("search: %w", err)
@@ -405,7 +282,7 @@ func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds 
 			return false, fmt.Errorf("search: %w", err)
 		}
 		pctx, psp := obs.Start(ctx, "search.probe", obs.KV("sigma", sigma))
-		acc, err := evaluateSigma(pctx, rn, net, prof, ds, sigma, opts)
+		acc, err := evaluateSigma(pctx, pool, prof, ds, sigma, opts)
 		if err != nil {
 			psp.End()
 			return false, fmt.Errorf("search: %w", err)

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
 	"mupod/internal/testnet"
@@ -35,14 +37,14 @@ func sharedProfile(t *testing.T) *profile.Profile {
 
 func TestAccuracyNoInjectionMatchesExact(t *testing.T) {
 	net, _, te := testnet.Trained()
-	acc := Accuracy(net, te, 0, 32, nil)
-	if acc < 0.7 {
-		t.Fatalf("trained fixture accuracy %v", acc)
+	acc, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 0, 32, nil)
+	if err != nil || acc < 0.7 {
+		t.Fatalf("trained fixture accuracy %v (err %v)", acc, err)
 	}
 	// Subset evaluation stays in range.
-	sub := Accuracy(net, te, 50, 16, nil)
-	if sub < 0 || sub > 1 {
-		t.Fatalf("subset accuracy %v", sub)
+	sub, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 50, 16, nil)
+	if err != nil || sub < 0 || sub > 1 {
+		t.Fatalf("subset accuracy %v (err %v)", sub, err)
 	}
 }
 

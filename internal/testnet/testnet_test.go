@@ -1,9 +1,11 @@
 package testnet
 
 import (
+	"context"
 	"testing"
 
-	"mupod/internal/train"
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 )
 
 func TestTrainedFixtureQuality(t *testing.T) {
@@ -11,7 +13,11 @@ func TestTrainedFixtureQuality(t *testing.T) {
 	if net == nil || tr == nil || te == nil {
 		t.Fatal("fixture incomplete")
 	}
-	if acc := train.Accuracy(net, te, 32); acc < 0.7 {
+	acc, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 0, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc < 0.7 {
 		t.Fatalf("fixture test accuracy %v < 0.7 — downstream suites rely on a trained net", acc)
 	}
 	if got := len(net.AnalyzableNodes()); got != 4 {

@@ -1,8 +1,11 @@
 package testnet
 
 import (
+	"context"
 	"testing"
 
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 )
 
@@ -35,25 +38,16 @@ func TestZooCoversAllLayerKinds(t *testing.T) {
 
 func TestZooNetsForwardAndClassify(t *testing.T) {
 	for _, f := range Zoo() {
-		out := f.Net.Forward(f.Test.Batch(0, 16))
-		preds := nn.Argmax(out)
+		acts := f.Net.ForwardAll(f.Test.Batch(0, 16))
+		preds := nn.Argmax(acts[len(acts)-1])
 		if len(preds) != 16 {
 			t.Fatalf("%s: %d predictions for 16 images", f.Name, len(preds))
 		}
-		correct := 0
-		n := f.Test.Len()
-		for start := 0; start < n; start += 32 {
-			size := 32
-			if start+size > n {
-				size = n - start
-			}
-			for i, p := range nn.Argmax(f.Net.Forward(f.Test.Batch(start, size))) {
-				if p == f.Test.Labels[start+i] {
-					correct++
-				}
-			}
+		acc, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, f.Net, f.Test, 0, 32, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if acc := float64(correct) / float64(n); acc < 0.5 {
+		if acc < 0.5 {
 			t.Errorf("%s: trained fixture accuracy %.2f (should beat chance comfortably)", f.Name, acc)
 		}
 	}
@@ -61,8 +55,9 @@ func TestZooNetsForwardAndClassify(t *testing.T) {
 
 func TestZooDeterministic(t *testing.T) {
 	net, _, te := ZooNet("dwsep")
-	a := nn.Argmax(net.Forward(te.Batch(0, 8)))
-	b := nn.Argmax(net.Forward(te.Batch(0, 8)))
+	sess := exec.NewSession(exec.NewPlan(net))
+	a := nn.Argmax(sess.Forward(te.Batch(0, 8), nil))
+	b := nn.Argmax(sess.Forward(te.Batch(0, 8), nil))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("repeated forward passes disagree")

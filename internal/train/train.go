@@ -225,29 +225,6 @@ func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) History {
 	return hist
 }
 
-// Accuracy computes exact top-1 accuracy of net over ds using the given
-// batch size.
-func Accuracy(net *nn.Network, ds *dataset.Dataset, batchSize int) float64 {
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	correct := 0
-	for start := 0; start < ds.Len(); start += batchSize {
-		n := batchSize
-		if start+n > ds.Len() {
-			n = ds.Len() - start
-		}
-		logits := net.Forward(ds.Batch(start, n))
-		preds := nn.Argmax(logits)
-		for i, p := range preds {
-			if p == ds.Labels[start+i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.Len())
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

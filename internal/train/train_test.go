@@ -1,10 +1,13 @@
 package train
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
@@ -85,7 +88,8 @@ func TestBackwardThroughNetworkMatchesNumerical(t *testing.T) {
 	labels := []int{0, 2}
 
 	lossOf := func() float64 {
-		l, _ := SoftmaxCrossEntropy(net.Forward(in), labels)
+		acts := net.ForwardAll(in)
+		l, _ := SoftmaxCrossEntropy(acts[len(acts)-1], labels)
 		return l
 	}
 
@@ -163,9 +167,16 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestAccuracyImprovesWithTraining(t *testing.T) {
 	net, tr := tinyProblem(6)
-	before := Accuracy(net, tr, 16)
+	accuracy := func() float64 {
+		acc, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, tr, 0, 16, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
+	}
+	before := accuracy()
 	Run(net, tr, Config{Optimizer: Adam, Steps: 120, BatchSize: 8, Seed: 2})
-	after := Accuracy(net, tr, 16)
+	after := accuracy()
 	if after <= before+0.2 {
 		t.Fatalf("training accuracy %v → %v", before, after)
 	}

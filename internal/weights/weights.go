@@ -27,7 +27,6 @@ import (
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
-	"mupod/internal/search"
 	"mupod/internal/stats"
 	"mupod/internal/tensor"
 )
@@ -93,7 +92,7 @@ func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
 // RunContext is Run with cancellation. Every layer's weight tensor is
 // one target of profile.Sweep, run on cfg.Workers goroutines (0 =
 // GOMAXPROCS): a replay computes layer K with a shallow copy of it
-// holding the worker's perturbed weights (exec.Session.ReplayLayer),
+// holding the worker's perturbed weights (exec.Session.Replay),
 // so concurrent callers may share net, and the profile is
 // bit-identical at every worker count.
 func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg Config) (*Profile, error) {
@@ -109,8 +108,8 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 	// profiler does.
 	logits := acts[len(acts)-1].Len()
 	repeats := min(max((cfg.TargetSamples+logits-1)/logits, 2), 12)
-	ev := exec.NewEvaluator(cfg.Workers)
-	private := make([][]float64, ev.Workers()) // perturbed weights, one buffer per worker
+	pool := exec.NewPool(net, cfg.Workers, cfg.Kernel)
+	private := make([][]float64, pool.Workers()) // perturbed weights, one buffer per worker
 	p := &Profile{NetName: net.Name}
 	var targets []profile.Target
 	for _, nodeID := range net.AnalyzableNodes() {
@@ -144,7 +143,7 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 			}))
 	}
 
-	sigmas, err := profile.Sweep(ctx, ev, net, acts, cfg.Kernel, targets)
+	sigmas, err := profile.Sweep(ctx, pool, acts, targets)
 	if err != nil {
 		return nil, fmt.Errorf("weights: %w", err)
 	}
@@ -339,6 +338,6 @@ func JointAllocate(aprof *profile.Profile, wprof *Profile, sigmaYL float64, cfg 
 func Validate(net *nn.Network, ds *dataset.Dataset, n int, act *core.Allocation, w *Allocation) float64 {
 	restore := w.Apply(net)
 	defer restore()
-	acc, _ := search.AccuracyStateless(context.Background(), 0, net, ds, n, 32, act.InjectionPlan())
+	acc, _ := exec.Accuracy(context.Background(), 0, kernels.Policy{}, net, ds, n, 32, act.InjectionPlan())
 	return acc
 }

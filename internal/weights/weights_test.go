@@ -5,6 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"mupod/internal/dataset"
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
+	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/search"
 	"mupod/internal/testnet"
@@ -54,11 +58,11 @@ func TestWeightProfileLinearity(t *testing.T) {
 
 func TestWeightProfileRestoresWeights(t *testing.T) {
 	net, _, te := testnet.Trained()
-	before := search.Accuracy(net, te, 100, 32, nil)
+	before := accuracy(t, net, te, 100)
 	if _, err := Run(net, te, Config{Images: 8, Points: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	after := search.Accuracy(net, te, 100, 32, nil)
+	after := accuracy(t, net, te, 100)
 	if before != after {
 		t.Fatalf("profiling changed the network: %v → %v", before, after)
 	}
@@ -70,7 +74,7 @@ func TestWeightProfileRestoresWeights(t *testing.T) {
 // see the unperturbed weights — and, under -race, no data race.
 func TestRunContextSharesNetWithReaders(t *testing.T) {
 	net, _, te := testnet.Trained()
-	want := search.Accuracy(net, te, 100, 32, nil)
+	want := accuracy(t, net, te, 100)
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunContext(context.Background(), net, te, Config{Images: 8, Points: 4, Seed: 1, Workers: 2})
@@ -85,7 +89,7 @@ func TestRunContextSharesNetWithReaders(t *testing.T) {
 			running = false
 		default:
 		}
-		if got := search.Accuracy(net, te, 100, 32, nil); got != want {
+		if got := accuracy(t, net, te, 100); got != want {
 			t.Fatalf("accuracy moved while the weights were profiled: %v → %v", want, got)
 		}
 	}
@@ -137,12 +141,12 @@ func TestJointAllocateValidatesOnRealQuantization(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := Validate(net, te, 0, act, w)
-	exact := search.Accuracy(net, te, 0, 32, nil)
+	exact := accuracy(t, net, te, 0)
 	if acc < exact*(1-0.05)-0.03 {
 		t.Fatalf("joint quantization accuracy %v vs exact %v", acc, exact)
 	}
 	// Validate must restore the weights.
-	if again := search.Accuracy(net, te, 0, 32, nil); again != exact {
+	if again := accuracy(t, net, te, 0); again != exact {
 		t.Fatal("Validate leaked quantized weights")
 	}
 }
@@ -178,10 +182,10 @@ func TestApplyRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := search.Accuracy(net, te, 100, 32, nil)
+	before := accuracy(t, net, te, 100)
 	restore := w.Apply(net)
 	restore()
-	after := search.Accuracy(net, te, 100, 32, nil)
+	after := accuracy(t, net, te, 100)
 	if before != after {
 		t.Fatal("Apply/restore not idempotent")
 	}
@@ -203,4 +207,14 @@ func TestRunErrorsOnTooFewImages(t *testing.T) {
 	if _, err := Run(net, te, Config{Images: te.Len() + 1}); err == nil {
 		t.Fatal("no error on oversized image budget")
 	}
+}
+
+// accuracy is exact exec.Accuracy on one worker, failing t on error.
+func accuracy(t *testing.T, net *nn.Network, ds *dataset.Dataset, n int) float64 {
+	t.Helper()
+	acc, err := exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, ds, n, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc
 }

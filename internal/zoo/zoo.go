@@ -1,12 +1,15 @@
 package zoo
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/train"
 )
@@ -135,5 +138,5 @@ func TestAccuracy(a Arch) (float64, error) {
 		return 0, err
 	}
 	_, te := Data(a)
-	return train.Accuracy(net, te, 32), nil
+	return exec.Accuracy(context.Background(), 1, kernels.Policy{}, net, te, 0, 32, nil)
 }

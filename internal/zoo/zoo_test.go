@@ -2,8 +2,6 @@ package zoo
 
 import (
 	"testing"
-
-	"mupod/internal/train"
 )
 
 func TestAnalyzableLayerCountsMatchPaper(t *testing.T) {
@@ -62,8 +60,8 @@ func TestForwardShapes(t *testing.T) {
 	for _, a := range All {
 		net := Build(a, Seed)
 		_, te := Data(a)
-		out := net.Forward(te.Batch(0, 2))
-		if out.Shape[0] != 2 || out.Shape[1] != 10 {
+		acts := net.ForwardAll(te.Batch(0, 2))
+		if out := acts[len(acts)-1]; out.Shape[0] != 2 || out.Shape[1] != 10 {
 			t.Errorf("%s: output shape %v", a, out.Shape)
 		}
 	}
@@ -164,9 +162,10 @@ func TestTrainedAccuracy(t *testing.T) {
 		t.Skip("zoo training skipped in -short mode")
 	}
 	for _, a := range All {
-		net := MustLoad(a)
-		_, te := Data(a)
-		acc := train.Accuracy(net, te, 32)
+		acc, err := TestAccuracy(a)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if acc < 0.60 {
 			t.Errorf("%s: test accuracy %.3f < 0.60 — zoo training regressed", a, acc)
 		}
