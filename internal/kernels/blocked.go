@@ -9,8 +9,9 @@ import (
 )
 
 // The kernels below pack B into 4-column panels that stay resident in
-// L1 while a 2×4 micro-kernel streams A rows through 8 register
-// accumulators; depthwise conv hoists the padding bounds out of the
+// L1 while micro-kernels stream A rows through register accumulators:
+// 8 rows at a time with kern8x4, then pairs with kern2x4, then one row
+// with kern1x4; depthwise conv hoists the padding bounds out of the
 // innermost loops and shares them across four planes; dense unrolls 4
 // output rows per x sweep. Every output element is still bias + Σ terms
 // in the ascending order of the scalar loops (see the package
@@ -116,6 +117,16 @@ func gemmBlockedCols(m, n, k int, a, b, bias, c []float64, j0, j1 int, pack []fl
 	for ; j+nr <= j1; j += nr {
 		packPanel(k, n, b, j, pack)
 		i := 0
+		// The slices cover every element kern8x4 reads or writes (A rows
+		// i..i+7, the panel, C rows at stride n, bias[i:i+8]): its
+		// assembly body checks no bounds, and needs k ≥ 1.
+		for ; k > 0 && i+8 <= m; i += 8 {
+			var bb []float64
+			if bias != nil {
+				bb = bias[i : i+8]
+			}
+			kern8x4(k, a[i*k:(i+8)*k], pack[:k*nr], c[i*n+j:(i+7)*n+j+nr], n, bb)
+		}
 		for ; i+2 <= m; i += 2 {
 			b0, b1 := 0.0, 0.0
 			if bias != nil {
@@ -165,10 +176,10 @@ func packPanel(k, n int, b []float64, j int, pack []float64) {
 	}
 }
 
-// kern2x4 is the register micro-kernel: 2 rows of A against one packed
-// 4-column panel. 8 accumulators + 4 panel values + 1 A value = 13
-// live floats, which fits amd64's 16 XMM registers without spilling (a
-// 4×4 tile's 16 accumulators alone exhaust them). The l loop is
+// kern2x4 is the pure-Go register micro-kernel: 2 rows of A against
+// one packed 4-column panel. 8 accumulators + 4 panel values + 1 A
+// value = 13 live floats, which fits amd64's 16 XMM registers without
+// spilling (a 4×4 tile's 16 accumulators alone exhaust them). The l loop is
 // unrolled 4× through slice→array-pointer conversions so the bounds
 // checks amortize to one per operand per 4 steps; the floating-point
 // operation sequence per accumulator is exactly the scalar ascending-l

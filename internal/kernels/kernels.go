@@ -2,9 +2,9 @@
 // dense inner loops of conv (im2col + GEMM), depthwise conv, fully
 // connected layers and pooling fan-out. There is one implementation,
 // the Backend value: a cache-blocked, register-tiled GEMM over packed
-// 4-column panels with a 2×4 micro-kernel, depthwise conv four planes
-// per pass with hoisted bounds, and a 4-row-unrolled dense kernel, all
-// pure Go. im2col copies the image once into a zero-bordered buffer
+// 4-column panels with 8×4, 2×4 and 1×4 micro-kernels, depthwise conv
+// four planes per pass with hoisted bounds, and a 4-row-unrolled dense
+// kernel. im2col copies the image once into a zero-bordered buffer
 // from the pack pool, then fills each column-matrix row from one list
 // of receptive-field offsets, with no bounds test per element.
 //
@@ -22,13 +22,17 @@
 // Caches therefore ignore the kernel policy, as they ignore worker
 // counts.
 //
-// The GEMM accumulates with math.FMA. FMA is IEEE-defined ("computed
-// with only one rounding"), so results are identical whether the CPU
-// fuses in hardware or the runtime falls back to the software
-// implementation — determinism is unaffected by build flags or host
-// CPU. Speed is not: on amd64 build with GOAMD64=v3 to drop the
-// per-call-site hardware check and emit bare VFMADD instructions
-// (~2.5× on the GEMM micro-kernel); this repository's CI does.
+// The GEMM accumulates with fused multiply-add. FMA is IEEE-defined
+// ("computed with only one rounding"), so results are identical
+// whether the CPU fuses in hardware or math.FMA falls back to its
+// software implementation. The GOAMD64 level therefore changes speed,
+// never bits. Built with GOAMD64=v3, which guarantees AVX2 and FMA,
+// the 8-row micro-kernel kern8x4 is Go assembly (kern8x4_amd64.s):
+// one YMM accumulator per row, whose four lanes each run the same
+// ascending-l FMA chain as the pure-Go kern2x4, and math.FMA compiles
+// to a bare VFMADD. Other builds run kern8x4 as four kern2x4 calls.
+// The amd64.v3 build tag alone selects the body; the same bit-for-bit
+// tests run at both levels in CI.
 package kernels
 
 import (

@@ -24,8 +24,25 @@ func fill(r *rand.Rand, n int) []float64 {
 	return s
 }
 
-// refGEMM is the plain ijk triple loop every policy is checked
-// against.
+// fillEdge is fill with −0 and subnormals mixed in beside the exact
+// zeros.
+func fillEdge(r *rand.Rand, n int) []float64 {
+	s := fill(r, n)
+	for i := range s {
+		switch r.Intn(16) {
+		case 0:
+			s[i] = math.Copysign(0, -1)
+		case 1:
+			s[i] *= 0x1p-1060 // subnormal
+		}
+	}
+	return s
+}
+
+// refGEMM is the package's reduction-order contract written out: each
+// element is one ascending-l math.FMA chain from the bias (+0 when
+// nil). Every policy must match it bit for bit, so an unfused or
+// reordered chain fails.
 func refGEMM(m, n, k int, a, b, bias, c []float64) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -34,21 +51,11 @@ func refGEMM(m, n, k int, a, b, bias, c []float64) {
 				acc = bias[i]
 			}
 			for l := 0; l < k; l++ {
-				acc += a[i*k+l] * b[l*n+j]
+				acc = math.FMA(a[i*k+l], b[l*n+j], acc)
 			}
 			c[i*n+j] = acc
 		}
 	}
-}
-
-func maxAbsDiff(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
-			d = v
-		}
-	}
-	return d
 }
 
 // backendsUnderTest resolves every policy name at 1 and 4 intra-op
@@ -68,42 +75,46 @@ func backendsUnderTest(t *testing.T) map[string]Backend {
 	return out
 }
 
+// TestGEMMEquivalence pins every policy at 1 and 4 workers to refGEMM's
+// bits. m runs through every residue mod 8, so the 8-row micro-kernel,
+// the row pairs and the odd row all run; n covers the panels and the
+// scalar column tail, and k = 0 leaves only the bias. It runs at
+// whichever GOAMD64 level the test binary was built for, so both the Go
+// and the x86-64-v3 assembly bodies of kern8x4 are held to the same
+// bits.
 func TestGEMMEquivalence(t *testing.T) {
-	shapes := []struct{ m, n, k int }{
-		{1, 1, 1}, {4, 4, 4}, {5, 7, 3}, {3, 2, 9}, {1, 513, 64},
-		{64, 37, 13}, {16, 256, 27}, {7, 1030, 33}, {8, 300, 144},
+	type shape struct{ m, n, k int }
+	shapes := []shape{
+		{5, 7, 3}, {3, 2, 9}, {1, 513, 64}, {64, 37, 13},
+		{16, 256, 27}, {7, 1030, 33}, {8, 300, 144},
 	}
-	r := rand.New(rand.NewSource(1))
-	for _, sh := range shapes {
-		a := fill(r, sh.m*sh.k)
-		b := fill(r, sh.k*sh.n)
-		bias := fill(r, sh.m)
-		want := make([]float64, sh.m*sh.n)
-		refGEMM(sh.m, sh.n, sh.k, a, b, bias, want)
-		serial := make([]float64, sh.m*sh.n)
-		Default().GEMM(sh.m, sh.n, sh.k, a, b, bias, serial)
-		for name, be := range backendsUnderTest(t) {
-			got := make([]float64, sh.m*sh.n)
-			be.GEMM(sh.m, sh.n, sh.k, a, b, bias, got)
-			if d := maxAbsDiff(got, want); d > 1e-9 {
-				t.Errorf("%s GEMM %dx%dx%d: max diff %g vs reference", name, sh.m, sh.n, sh.k, d)
-			}
-			// Every policy and worker count gives the serial bits
-			// (disjoint-shard contract).
-			for i := range got {
-				if got[i] != serial[i] {
-					t.Fatalf("%s GEMM %dx%dx%d: not bit-identical to serial at index %d: %x vs %x",
-						name, sh.m, sh.n, sh.k, i, math.Float64bits(got[i]), math.Float64bits(serial[i]))
-				}
+	for m := 1; m <= 17; m++ {
+		for _, k := range []int{0, 1, 3, 4, 5, 288} {
+			for _, n := range []int{1, 3, 4, 5, 16, 257} {
+				shapes = append(shapes, shape{m, n, k})
 			}
 		}
-		// nil bias means zero.
-		noBias := make([]float64, sh.m*sh.n)
-		refGEMM(sh.m, sh.n, sh.k, a, b, nil, noBias)
-		got := make([]float64, sh.m*sh.n)
-		Default().GEMM(sh.m, sh.n, sh.k, a, b, nil, got)
-		if d := maxAbsDiff(got, noBias); d > 1e-9 {
-			t.Errorf("GEMM nil bias %dx%dx%d: max diff %g", sh.m, sh.n, sh.k, d)
+	}
+	r := rand.New(rand.NewSource(1))
+	bes := backendsUnderTest(t)
+	for _, sh := range shapes {
+		a, b, bias := fillEdge(r, sh.m*sh.k), fillEdge(r, sh.k*sh.n), fillEdge(r, sh.m)
+		for _, bias := range [][]float64{bias, nil} {
+			want := make([]float64, sh.m*sh.n)
+			refGEMM(sh.m, sh.n, sh.k, a, b, bias, want)
+			for name, be := range bes {
+				got := make([]float64, len(want))
+				for i := range got {
+					got[i] = math.NaN() // every element must be written
+				}
+				be.GEMM(sh.m, sh.n, sh.k, a, b, bias, got)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s GEMM %+v (bias %t): index %d is %x, want the FMA chain's %x",
+							name, sh, bias != nil, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
 		}
 	}
 }
@@ -506,14 +517,34 @@ func gemmInputs(m, n, k int) (a, b, bias, c []float64) {
 	return dense(m * k), dense(k * n), dense(m), make([]float64, m*n)
 }
 
+// BenchmarkGEMMBackends times the AlexNet conv2 shape under each
+// policy name, then, on the default policy, the per-image conv shapes
+// the profiling replays run: (m, n, k) = (32, 16, 288) alexnet conv4,
+// (24, 64, 24) nin conv5, (10, 4, 288) nin conv10, (32, 4, 32)
+// mobilenet conv15 and (40, 1, 32) mobilenet conv25, whose single
+// column takes only the scalar tail.
 func BenchmarkGEMMBackends(b *testing.B) {
-	a, bb, bias, c := gemmInputs(alexM, alexN, alexK)
+	type shape struct {
+		impl, suffix string
+		m, n, k      int
+	}
+	var shapes []shape
 	for _, name := range Names() {
-		be := MustNew(Policy{Impl: name})
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(8 * (alexM*alexK + alexK*alexN + alexM*alexN)))
+		shapes = append(shapes, shape{name, "", alexM, alexN, alexK})
+	}
+	shapes = append(shapes,
+		shape{DefaultImpl, "-alexnet-conv4", 32, 16, 288},
+		shape{DefaultImpl, "-nin-conv5", 24, 64, 24},
+		shape{DefaultImpl, "-nin-conv10", 10, 4, 288},
+		shape{DefaultImpl, "-mobilenet-conv15", 32, 4, 32},
+		shape{DefaultImpl, "-mobilenet-conv25", 40, 1, 32})
+	for _, sh := range shapes {
+		a, bb, bias, c := gemmInputs(sh.m, sh.n, sh.k)
+		be := MustNew(Policy{Impl: sh.impl})
+		b.Run(sh.impl+sh.suffix, func(b *testing.B) {
+			b.SetBytes(int64(8 * (sh.m*sh.k + sh.k*sh.n + sh.m*sh.n)))
 			for i := 0; i < b.N; i++ {
-				be.GEMM(alexM, alexN, alexK, a, bb, bias, c)
+				be.GEMM(sh.m, sh.n, sh.k, a, bb, bias, c)
 			}
 		})
 	}
