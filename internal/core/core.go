@@ -92,9 +92,9 @@ type Config struct {
 	Kernel kernels.Policy
 }
 
-// withWorkers fans the pipeline-level Workers and Kernel knobs into the
+// WithWorkers fans the pipeline-level Workers and Kernel knobs into the
 // stage configs that did not set their own.
-func (c Config) withWorkers() Config {
+func (c Config) WithWorkers() Config {
 	if c.Profile.Workers == 0 {
 		c.Profile.Workers = c.Workers
 	}
@@ -382,7 +382,7 @@ func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
 // profiling, the σ search and the guard loop all check ctx and return
 // promptly once the caller cancels.
 func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
-	cfg = cfg.withWorkers()
+	cfg = cfg.WithWorkers()
 	res := &Result{}
 
 	ctx, psp := obs.Start(ctx, "pipeline",
@@ -432,7 +432,7 @@ func AllocateContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, 
 	if err := fault.Hit(ctx, "solve.allocate"); err != nil {
 		return nil, 0, 0, fmt.Errorf("core: %w", err)
 	}
-	cfg = cfg.withWorkers()
+	cfg = cfg.WithWorkers()
 	sigma := sr.SigmaYL
 	shrink := cfg.GuardShrink
 	if shrink <= 0 || shrink >= 1 {

@@ -12,8 +12,8 @@ import (
 // recorder. Durations are bucketed by their power-of-two magnitude in
 // nanoseconds, each magnitude split into 32 linear sub-buckets, so any
 // recorded value is represented with at most 1/32 (≈3.1%) relative
-// error across the whole nanosecond-to-hours range — no bucket layout
-// to configure, unlike the fixed-bucket Histogram.
+// error across the whole nanosecond-to-hours range, with no bucket
+// layout to configure. It is the registry's one histogram type.
 //
 // Observe is lock-free (two atomic adds plus a CAS each for min/max),
 // which is what the HTTP hot path and a load generator firing tens of

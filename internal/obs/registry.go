@@ -1,8 +1,8 @@
 // Package obs is the pipeline-wide telemetry layer: a process-light
 // metrics registry with Prometheus text exposition (counters, gauges,
-// fixed-bucket histograms), context-carried span tracing exportable as
-// JSON and Chrome trace_event format, and a shared log/slog setup
-// helper for the cmd tools and the daemon.
+// log-linear latency histograms), context-carried span tracing
+// exportable as JSON and Chrome trace_event format, and a shared
+// log/slog setup helper for the cmd tools and the daemon.
 //
 // Every hook is engineered to be zero-cost when telemetry is disabled:
 // all metric methods are safe on a nil receiver (a single predictable
@@ -16,16 +16,16 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// DefaultLatencyBuckets are histogram upper bounds in seconds (+Inf is
-// implicit) covering microsecond cache hits through multi-minute
-// profiling runs — the range the serving pipeline's stages span.
+// DefaultLatencyBuckets are the upper bounds in seconds (+Inf is
+// implicit) that LatencyHistogram series fold onto on a /metrics page,
+// covering microsecond cache hits through multi-minute profiling runs —
+// the range the serving pipeline's stages span.
 var DefaultLatencyBuckets = []float64{
 	0.0001, 0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
@@ -311,94 +311,9 @@ func (g *gaugeFunc) write(w io.Writer, name string) {
 	writeLine(w, name, g.labels, formatFloat(g.fn()))
 }
 
-// Histogram is a fixed-bucket histogram. Buckets are upper bounds in
-// strictly increasing order; the +Inf bucket is implicit. A nil
-// *Histogram no-ops.
-type Histogram struct {
-	labels  string
-	buckets []float64
-
-	mu     sync.Mutex
-	counts []uint64 // len(buckets)+1; last is +Inf
-	sum    float64
-	n      uint64
-}
-
-// Histogram finds or registers a histogram series. All series of one
-// family must share the same bucket layout.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	if len(buckets) == 0 {
-		panic("obs: histogram needs at least one bucket")
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram buckets not strictly increasing at %d", i))
-		}
-	}
-	ls := formatLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, "histogram")
-	if s := f.find(ls); s != nil {
-		return s.(*Histogram)
-	}
-	h := &Histogram{
-		labels:  ls,
-		buckets: append([]float64(nil), buckets...),
-		counts:  make([]uint64, len(buckets)+1),
-	}
-	f.series = append(f.series, h)
-	return h
-}
-
-// Observe records one value. Safe for concurrent use; no-op on nil.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.buckets, v)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of observations (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-func (h *Histogram) labelSet() string { return h.labels }
-
-// write renders the standard Prometheus histogram layout.
-func (h *Histogram) write(w io.Writer, name string) {
-	h.mu.Lock()
-	counts := append([]uint64(nil), h.counts...)
-	sum, n := h.sum, h.n
-	h.mu.Unlock()
-	writeCumulativeBuckets(w, name, h.labels, h.buckets, counts, sum, n)
-}
-
-// writeCumulativeBuckets renders cumulative `le` buckets, the +Inf
-// bucket, _sum and _count — the exposition layout shared by Histogram
-// and LatencyHistogram series. counts holds one entry per bound plus a
-// final overflow entry.
+// writeCumulativeBuckets renders a LatencyHistogram series folded onto
+// bounds: cumulative `le` buckets, the +Inf bucket, _sum and _count.
+// counts holds one entry per bound plus a final overflow entry.
 func writeCumulativeBuckets(w io.Writer, name, labels string, bounds []float64, counts []uint64, sum float64, n uint64) {
 	cum := uint64(0)
 	for i, le := range bounds {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeExposition(t *testing.T) {
@@ -53,11 +54,6 @@ func TestSameSeriesReturned(t *testing.T) {
 	b := r.Counter("x_total", "X.", "k", "v")
 	if a != b {
 		t.Fatal("same name+labels must return the same series")
-	}
-	h1 := r.Histogram("h", "H.", []float64{1, 2})
-	h2 := r.Histogram("h", "H.", []float64{1, 2})
-	if h1 != h2 {
-		t.Fatal("same histogram series expected")
 	}
 }
 
@@ -116,56 +112,60 @@ func parseHistogram(t *testing.T, text, name, labels string) (les []float64, cum
 	return les, cum, sum, count
 }
 
+// TestHistogramExpositionCorrectness checks a registered
+// LatencyHistogram's page against an oracle: cumulative counts per
+// bound, _sum and _count. Every value sits at least 1/32 below the
+// next bound, so the fold by fine-bucket upper edge cannot lift it
+// across that bound.
 func TestHistogramExpositionCorrectness(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
-	obs := []float64{0.005, 0.01, 0.05, 0.5, 2, 3}
-	wantSum := 0.0
+	h := r.LatencyHistogram("test_latency_seconds", "Latency.")
+	obs := []time.Duration{
+		4 * time.Millisecond, 9 * time.Millisecond, 40 * time.Millisecond,
+		400 * time.Millisecond, 2 * time.Second, 3 * time.Second, 200 * time.Second,
+	}
+	var sumNS int64
 	for _, v := range obs {
 		h.Observe(v)
-		wantSum += v
+		sumNS += int64(v)
 	}
 
 	var sb strings.Builder
 	r.Write(&sb)
 	les, cum, sum, count := parseHistogram(t, sb.String(), "test_latency_seconds", "")
 
-	// Cumulative buckets must be monotone non-decreasing in le order.
-	for i := 1; i < len(cum); i++ {
-		if les[i] <= les[i-1] {
-			t.Errorf("le bounds not increasing: %v", les)
-		}
-		if cum[i] < cum[i-1] {
-			t.Errorf("cumulative counts not monotone: %v", cum)
-		}
+	if len(les) != len(DefaultLatencyBuckets)+1 {
+		t.Fatalf("%d buckets, want the %d default bounds plus +Inf", len(les), len(DefaultLatencyBuckets))
 	}
-	// +Inf bucket equals _count.
 	if !math.IsInf(les[len(les)-1], 1) {
 		t.Fatalf("last bucket is %v, want +Inf", les[len(les)-1])
 	}
-	if cum[len(cum)-1] != count {
-		t.Errorf("+Inf bucket %d != _count %d", cum[len(cum)-1], count)
+	for i, le := range les {
+		if i < len(DefaultLatencyBuckets) && le != DefaultLatencyBuckets[i] {
+			t.Errorf("bound %d = %v, want %v", i, le, DefaultLatencyBuckets[i])
+		}
+		var want uint64
+		for _, v := range obs {
+			if v.Seconds() <= le {
+				want++
+			}
+		}
+		if cum[i] != want {
+			t.Errorf("le=%v bucket = %d, want %d", le, cum[i], want)
+		}
 	}
 	if count != uint64(len(obs)) {
 		t.Errorf("_count = %d, want %d", count, len(obs))
 	}
-	// _sum matches the observations.
-	if math.Abs(sum-wantSum) > 1e-12 {
-		t.Errorf("_sum = %v, want %v", sum, wantSum)
-	}
-	// Spot-check boundary semantics: le is inclusive, so 0.01 lands in
-	// the first bucket.
-	if cum[0] != 2 {
-		t.Errorf("le=0.01 bucket = %d, want 2 (0.005 and 0.01)", cum[0])
-	}
-	if cum[1] != 3 || cum[2] != 4 {
-		t.Errorf("mid buckets = %d,%d, want 3,4", cum[1], cum[2])
+	// _sum is the integer-nanosecond total, rendered in seconds.
+	if want := float64(sumNS) / float64(time.Second); sum != want {
+		t.Errorf("_sum = %v, want %v", sum, want)
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_hammer_seconds", "Hammered.", DefaultLatencyBuckets)
+	h := r.LatencyHistogram("test_hammer_seconds", "Hammered.")
 	const goroutines = 16
 	const perG = 2000
 	// One goroutine keeps rendering while the others observe, so the
@@ -190,7 +190,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
-				h.Observe(float64(i*perG+j) * 1e-5)
+				h.Observe(time.Duration(i*perG+j) * 10 * time.Microsecond)
 			}
 		}(i)
 	}
@@ -213,27 +213,25 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var c *Counter
 	var fc *FloatCounter
 	var g *Gauge
-	var h *Histogram
 	c.Add(1)
 	c.Inc()
 	fc.Add(1)
 	g.Set(1)
 	g.Add(1)
-	h.Observe(1)
-	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil receivers must read as zero")
 	}
 }
 
 func TestHistogramLabelled(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_stage_seconds", "Stage.", []float64{1, 2}, "stage", "solve")
-	h.Observe(1.5)
+	h := r.LatencyHistogram("test_stage_seconds", "Stage.", "stage", "solve")
+	h.Observe(1500 * time.Millisecond)
 	var sb strings.Builder
 	r.Write(&sb)
 	for _, want := range []string{
 		`test_stage_seconds_bucket{stage="solve",le="1"} 0`,
-		`test_stage_seconds_bucket{stage="solve",le="2"} 1`,
+		`test_stage_seconds_bucket{stage="solve",le="2.5"} 1`,
 		`test_stage_seconds_bucket{stage="solve",le="+Inf"} 1`,
 		`test_stage_seconds_sum{stage="solve"} 1.5`,
 		`test_stage_seconds_count{stage="solve"} 1`,

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -68,29 +69,55 @@ func hashFloats(w io.Writer, data []float64) {
 	}
 }
 
-// cacheEntry is one (possibly still computing) cached profile. ready is
-// closed when prof/err are final; failed entries are removed from the
-// map before ready closes, so waiters retry as new leaders.
-type cacheEntry struct {
-	ready chan struct{}
-	prof  *profile.Profile
-	err   error
-	elem  *list.Element // LRU position; nil while computing or after eviction
-	cost  int64         // ProfileCost(prof); counted in ProfileCache.bytes iff elem != nil
-}
+// flightCache is the content-addressed LRU behind both the profile
+// cache and the Pareto front cache, with single-flight semantics:
+// concurrent requests for one key share one compute instead of racing
+// to run it twice. Completed entries are bounded by count (cap) and,
+// when cost is set, also by their summed cost (maxB).
+type flightCache[V any] struct {
+	cost func(V) int64 // nil: bounded by count only
 
-// ProfileCache is the in-memory content-addressed profile store with
-// single-flight semantics: concurrent submissions of the same network
-// share one profiling run instead of racing to compute it twice.
-// Completed entries are bounded both by count (cap) and, optionally, by
-// their summed estimated size (maxBytes).
-type ProfileCache struct {
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	entries map[string]*flightEntry[V]
 	lru     *list.List // of string keys, front = most recent
 	cap     int
-	maxB    int64 // byte budget; 0 = unlimited
+	maxB    int64 // cost budget; 0 = unlimited
 	bytes   int64 // Σ cost over entries with elem != nil
+}
+
+// flightEntry is one (possibly still computing) cached value. ready is
+// closed when val/err are final; failed entries are removed from the
+// map before ready closes, so waiters retry as new leaders.
+type flightEntry[V any] struct {
+	ready chan struct{}
+	val   V
+	err   error
+	elem  *list.Element // LRU position; nil while computing or after eviction
+	cost  int64         // counted in flightCache.bytes iff elem != nil
+}
+
+// errPanicked stands in for the outcome of a compute that panicked, so
+// the deferred bookkeeping around it counts the panic as a failure.
+var errPanicked = errors.New("serve: compute panicked")
+
+// ProfileCache is the in-memory content-addressed profile store, bounded
+// by count and optionally by summed ProfileCost.
+type ProfileCache = flightCache[*profile.Profile]
+
+// newFlightCache creates a cache holding up to capacity completed values
+// (default 64 when capacity <= 0); with cost set and maxBytes > 0, their
+// summed cost is budgeted too.
+func newFlightCache[V any](capacity int, maxBytes int64, cost func(V) int64) *flightCache[V] {
+	if capacity <= 0 {
+		capacity = 64
+	}
+	return &flightCache[V]{
+		cost:    cost,
+		entries: make(map[string]*flightEntry[V]),
+		lru:     list.New(),
+		cap:     capacity,
+		maxB:    maxBytes,
+	}
 }
 
 // NewProfileCache creates a cache holding up to capacity completed
@@ -104,29 +131,21 @@ func NewProfileCache(capacity int) *ProfileCache {
 // maxBytes (> 0), least-recently-used entries are evicted — including,
 // for an entry over-weight on its own, the entry just inserted.
 func NewProfileCacheBytes(capacity int, maxBytes int64) *ProfileCache {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &ProfileCache{
-		entries: make(map[string]*cacheEntry),
-		lru:     list.New(),
-		cap:     capacity,
-		maxB:    maxBytes,
-	}
+	return newFlightCache(capacity, maxBytes, ProfileCost)
 }
 
-// Len returns the number of completed cached profiles.
-func (c *ProfileCache) Len() int {
+// Len returns the number of completed cached values.
+func (c *flightCache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
 }
 
-// CachedBytes returns the summed estimated size of the completed cached
-// profiles. The invariant maintained under any interleaving of Get/Add:
-// CachedBytes() == Σ ProfileCost over exactly the entries Len() counts
-// (each eviction decrements the sum exactly once).
-func (c *ProfileCache) CachedBytes() int64 {
+// CachedBytes returns the summed cost of the completed cached values.
+// The invariant maintained under any interleaving of Get/Add:
+// CachedBytes() == Σ cost over exactly the entries Len() counts (each
+// eviction decrements the sum exactly once).
+func (c *flightCache[V]) CachedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
@@ -136,7 +155,7 @@ func (c *ProfileCache) CachedBytes() int64 {
 // account, and the map. The elem != nil guard makes the byte decrement
 // idempotent: an entry leaves the account exactly once no matter how
 // the count cap and the byte budget interleave. Callers hold c.mu.
-func (c *ProfileCache) evictLocked(key string) {
+func (c *flightCache[V]) evictLocked(key string) {
 	e := c.entries[key]
 	if e == nil || e.elem == nil {
 		return
@@ -154,7 +173,7 @@ func (c *ProfileCache) evictLocked(key string) {
 // eviction accounting to balance.
 func ProfileCost(p *profile.Profile) int64 {
 	const (
-		entryOverhead = 256 // cacheEntry + map bucket + list element + key
+		entryOverhead = 256 // flightEntry + map bucket + list element + key
 		layerFixed    = 176 // LayerProfile value fields + index map entry
 	)
 	if p == nil {
@@ -169,12 +188,12 @@ func ProfileCost(p *profile.Profile) int64 {
 	return n
 }
 
-// GetOrCompute returns the cached profile for key, or runs compute to
+// GetOrCompute returns the cached value for key, or runs compute to
 // fill it. hit reports whether the result came from the cache (either
 // already stored, or by waiting on another request's in-flight
 // computation). A failed computation is not cached; one waiter takes
 // over as the new leader and recomputes.
-func (c *ProfileCache) GetOrCompute(ctx context.Context, key string, compute func(context.Context) (*profile.Profile, error)) (prof *profile.Profile, hit bool, err error) {
+func (c *flightCache[V]) GetOrCompute(ctx context.Context, key string, compute func(context.Context) (V, error)) (val V, hit bool, err error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -185,25 +204,35 @@ func (c *ProfileCache) GetOrCompute(ctx context.Context, key string, compute fun
 			select {
 			case <-e.ready:
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return val, false, ctx.Err()
 			}
 			if e.err != nil {
 				// The leader failed and removed the entry; loop to
 				// either find a newer entry or become the leader.
 				continue
 			}
-			return e.prof, true, nil
+			return e.val, true, nil
 		}
-		e := &cacheEntry{ready: make(chan struct{})}
+		e := &flightEntry[V]{ready: make(chan struct{})}
 		c.entries[key] = e
 		c.mu.Unlock()
+		return c.lead(ctx, key, e, compute)
+	}
+}
 
-		e.prof, e.err = compute(ctx)
+// lead runs compute for the new entry e and settles it: a value joins
+// the LRU, a failure leaves the map. A panic in compute settles as a
+// failure, so the key is released for the waiters, and then propagates.
+func (c *flightCache[V]) lead(ctx context.Context, key string, e *flightEntry[V], compute func(context.Context) (V, error)) (V, bool, error) {
+	e.err = errPanicked
+	defer func() {
+		if e.err == nil && c.cost != nil {
+			e.cost = c.cost(e.val)
+		}
 		c.mu.Lock()
 		if e.err != nil {
 			delete(c.entries, key)
 		} else {
-			e.cost = ProfileCost(e.prof)
 			e.elem = c.lru.PushFront(key)
 			c.bytes += e.cost
 			for c.lru.Len() > c.cap || (c.maxB > 0 && c.bytes > c.maxB && c.lru.Len() > 0) {
@@ -212,6 +241,7 @@ func (c *ProfileCache) GetOrCompute(ctx context.Context, key string, compute fun
 		}
 		c.mu.Unlock()
 		close(e.ready)
-		return e.prof, false, e.err
-	}
+	}()
+	e.val, e.err = compute(ctx)
+	return e.val, false, e.err
 }

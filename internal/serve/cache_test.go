@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"mupod/internal/profile"
 )
@@ -142,5 +143,41 @@ func TestCacheConcurrentEvictionAccounting(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	cacheInvariant(t, c)
+}
+
+// A compute that panics must release its key: the accounting stays
+// balanced, nothing is cached, and the next GetOrCompute on that key
+// recomputes instead of waiting on an entry that will never be ready.
+func TestCachePanickedComputeReleasesKey(t *testing.T) {
+	small := fakeProfile("small", 4)
+	c := NewProfileCacheBytes(4, 0)
+	mustAdd(t, c, "resident", small)
+	func() {
+		defer func() {
+			if r := recover(); r != "kaboom" {
+				t.Fatalf("recovered %v, want the compute's panic to propagate", r)
+			}
+		}()
+		c.GetOrCompute(context.Background(), "k", func(context.Context) (*profile.Profile, error) { //nolint:errcheck
+			panic("kaboom")
+		})
+	}()
+	if got, want := c.Len(), 1; got != want {
+		t.Fatalf("Len = %d after a panicked compute, want %d", got, want)
+	}
+	if got, want := c.CachedBytes(), ProfileCost(small); got != want {
+		t.Fatalf("CachedBytes = %d after a panicked compute, want %d", got, want)
+	}
+	cacheInvariant(t, c)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, hit, err := c.GetOrCompute(ctx, "k", func(context.Context) (*profile.Profile, error) {
+		return small, nil
+	})
+	if err != nil || hit || got != small {
+		t.Fatalf("after the panic: (%p, hit=%v, err=%v), want a fresh compute of %p", got, hit, err, small)
+	}
 	cacheInvariant(t, c)
 }

@@ -180,26 +180,39 @@ func TestPermanentFailpointFailsFast(t *testing.T) {
 }
 
 // TestPanicFailpointIsContained: a panicking stage fails its job; the
-// worker and the daemon survive to run the next one.
+// worker and the daemon survive to run the next, identical job. A panic
+// inside the profile or the front cache's compute must also release
+// that key, or the next job waits on it until its stage deadline.
 func TestPanicFailpointIsContained(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	if err := fault.Enable("solve.allocate", "1*panic(kaboom)"); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		point string
+		req   JobRequest
+	}{
+		{"solve.allocate", tinyRequest()},
+		{"profile.sweep", tinyRequest()},
+		{"pareto.generation", paretoRequest()},
+	} {
+		t.Run(tc.point, func(t *testing.T) {
+			t.Cleanup(fault.Reset)
+			if err := fault.Enable(tc.point, "1*panic(kaboom)"); err != nil {
+				t.Fatal(err)
+			}
+			m := newTestManager(t, Config{Workers: 1, MaxAttempts: 1})
+			j, err := m.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j, StateFailed)
+			if !strings.Contains(j.Err(), "panicked") || !strings.Contains(j.Err(), "kaboom") {
+				t.Errorf("err = %q, want a contained panic", j.Err())
+			}
+			j2, err := m.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j2, StateDone) // the pool is still alive
+		})
 	}
-	m := newTestManager(t, Config{Workers: 1, MaxAttempts: 1})
-	j, err := m.Submit(tinyRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, StateFailed)
-	if !strings.Contains(j.Err(), "panicked") || !strings.Contains(j.Err(), "kaboom") {
-		t.Errorf("err = %q, want a contained panic", j.Err())
-	}
-	j2, err := m.Submit(tinyRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j2, StateDone) // the pool is still alive
 }
 
 // TestLatencyFailpoint: sleep-mode injection delays a stage without
@@ -354,4 +367,43 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if got := m.breaker.State(); got != breakerClosed {
 		t.Errorf("breaker state = %d after successful probe, want closed", got)
 	}
+}
+
+// TestBreakerPanickedProbeReopens: a half-open probe that panics counts
+// as a failed probe and reopens the breaker, so a probe after the next
+// cooldown can close it; the panic must not leave the breaker probing
+// for good, shedding every later compute.
+func TestBreakerPanickedProbeReopens(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	if err := fault.Enable("profile.sweep", "1*error(boom)"); err != nil {
+		t.Fatal(err)
+	}
+	const cooldown = 20 * time.Millisecond
+	m := newTestManager(t, Config{
+		Workers: 1, MaxAttempts: 1,
+		BreakerThreshold: 1, BreakerCooldown: cooldown,
+	})
+	run := func(want State) *Job {
+		t.Helper()
+		j, err := m.Submit(tinyRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, want)
+		return j
+	}
+	run(StateFailed) // opens the breaker
+	time.Sleep(2 * cooldown)
+	if err := fault.Enable("profile.sweep", "1*panic(kaboom)"); err != nil {
+		t.Fatal(err)
+	}
+	if j := run(StateFailed); !strings.Contains(j.Err(), "kaboom") {
+		t.Errorf("probe err = %q, want the contained panic", j.Err())
+	}
+	if got := m.metrics.breakerOpens.Value(); got != 2 {
+		t.Fatalf("mupod_breaker_opens_total = %d, want 2 (the panicked probe reopens)", got)
+	}
+	fault.Reset()
+	time.Sleep(2 * cooldown)
+	run(StateDone)
 }

@@ -174,11 +174,13 @@ func (r *JobRequest) coreConfig() (core.Config, error) {
 // TimelineEntry is one step of a job's stage timeline: a lifecycle
 // transition (queued, running, interrupted, done, failed, cancelled) or
 // a pipeline stage completing (resolve, profile, search, solve,
-// pareto). SinceMS is the wall time since the previous entry — for a
-// stage-completion entry, the stage's duration; for "running", the
-// queue wait. The sequence is recorded live, journaled, and
-// reconstructed on crash replay, so GET /v1/jobs/{id} answers "where
-// did this job's latency go" even across a daemon restart.
+// pareto). SinceMS is the wall time since the previous entry — for
+// "running", the queue wait; for a stage-completion entry, the stage's
+// duration, the same value as the stage's JobResult *_ms field and its
+// latency-histogram observation. The sequence is recorded live,
+// journaled, and reconstructed on crash replay, so GET /v1/jobs/{id}
+// answers "where did this job's latency go" even across a daemon
+// restart.
 type TimelineEntry struct {
 	Event   string    `json:"event"`
 	At      time.Time `json:"at"`
@@ -186,16 +188,25 @@ type TimelineEntry struct {
 }
 
 // appendTimeline extends tl with one event, deriving SinceMS from the
-// previous entry (0 for the first, and for out-of-order clock reads).
+// previous entry.
 func appendTimeline(tl []TimelineEntry, event string, at time.Time) []TimelineEntry {
-	e := TimelineEntry{Event: event, At: at}
+	return append(tl, TimelineEntry{Event: event, At: at, SinceMS: millis(sincePrev(tl, at))})
+}
+
+// sincePrev is the wall time from tl's latest entry to at (0 for the
+// first entry, and for out-of-order clock reads).
+func sincePrev(tl []TimelineEntry, at time.Time) time.Duration {
 	if n := len(tl); n > 0 {
 		if d := at.Sub(tl[n-1].At); d > 0 {
-			e.SinceMS = 1000 * d.Seconds()
+			return d
 		}
 	}
-	return append(tl, e)
+	return 0
 }
+
+// millis converts a duration to the float milliseconds the job view
+// reports.
+func millis(d time.Duration) float64 { return 1000 * d.Seconds() }
 
 // LayerResult is one layer of a finished allocation.
 type LayerResult struct {
@@ -266,11 +277,17 @@ type Job struct {
 	timeline  []TimelineEntry
 }
 
-// note appends one timeline event under the job lock.
-func (j *Job) note(event string, at time.Time) {
+// mark returns the wall time from the job's latest timeline entry to
+// at and, when record is set, appends event at that time with that
+// duration as its SinceMS.
+func (j *Job) mark(event string, at time.Time, record bool) time.Duration {
 	j.mu.Lock()
-	j.timeline = appendTimeline(j.timeline, event, at)
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	d := sincePrev(j.timeline, at)
+	if record {
+		j.timeline = append(j.timeline, TimelineEntry{Event: event, At: at, SinceMS: millis(d)})
+	}
+	return d
 }
 
 // Timeline returns a copy of the stage timeline recorded so far.

@@ -128,7 +128,7 @@ type Manager struct {
 	cfg     Config
 	metrics *Metrics
 	cache   *ProfileCache
-	fronts  *frontCache
+	fronts  *flightCache[*ParetoResult]
 	journal *journal // nil without DataDir
 	breaker *breaker // nil when disabled
 
@@ -195,7 +195,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		metrics: NewMetrics(),
 		cache:   NewProfileCacheBytes(cfg.CacheEntries, cfg.CacheBytes),
-		fronts:  newFrontCache(cfg.FrontCacheEntries),
+		fronts:  newFlightCache[*ParetoResult](cfg.FrontCacheEntries, 0, nil),
 		sched:   newScheduler(cfg.QueueDepth, cfg.TenantQuota, cfg.TenantWeights),
 		drainc:  make(chan struct{}),
 		jobs:    make(map[string]*Job),
@@ -1000,14 +1000,6 @@ func (m *Manager) retryLater(j *Job, attempt int, cause error) {
 	}()
 }
 
-// noteStage records a finished pipeline stage on the job's timeline and
-// journals it, so the stage-by-stage breakdown survives a restart.
-func (m *Manager) noteStage(j *Job, event string) {
-	now := time.Now()
-	j.note(event, now)
-	m.journal.append(journalRec{T: "stage", ID: j.id, Time: now, Event: event})
-}
-
 // executeSafe contains panics (a panic-mode failpoint, or a pipeline
 // bug) to the job that hit them: the worker survives and the job fails
 // with the panic value.
@@ -1020,167 +1012,162 @@ func (m *Manager) executeSafe(ctx context.Context, j *Job) (res *JobResult, cach
 	return m.execute(ctx, j)
 }
 
-// execute runs the four pipeline stages under per-stage deadlines,
-// sharing profiles through the content-addressed cache. Each finished
-// stage lands on the job's timeline (and in the journal).
+// stage runs one pipeline stage under the per-stage deadline and reads
+// the clock once, when it ends. The stage's duration runs from the job's
+// latest timeline entry to that end, so the stage entries of a done job
+// tile its run from "running" to the end of its last stage. The one
+// duration feeds the stage's latency histogram on every run and, on
+// success, the stage's timeline entry and journal record, both stamped
+// at the end; the caller copies it into the result's *_ms field.
+func (m *Manager) stage(ctx context.Context, j *Job, name string, run func(context.Context) error) (time.Duration, error) {
+	sctx, cancel := m.stageCtx(ctx)
+	defer cancel()
+	err := run(sctx)
+	end := time.Now()
+	d := j.mark(name, end, err == nil)
+	m.metrics.stages[name].Observe(d)
+	if err == nil {
+		m.journal.append(journalRec{T: "stage", ID: j.id, Time: end, Event: name})
+	}
+	return d, err
+}
+
+// execute runs the pipeline stages through m.stage, sharing profiles
+// and fronts through the content-addressed caches.
 func (m *Manager) execute(ctx context.Context, j *Job) (*JobResult, bool, error) {
 	req := &j.req
 	cfg, err := req.coreConfig()
 	if err != nil {
 		return nil, false, err
 	}
-	// Fan the per-job worker budget into the stages run directly below
-	// (execute calls profile/search itself, bypassing core's fan-out).
+	// The daemon's defaults fill the job-level knobs the request left
+	// unset; core then fans them into the stages execute runs itself.
 	if cfg.Workers == 0 {
 		cfg.Workers = m.cfg.JobWorkers
 	}
-	if cfg.Profile.Workers == 0 {
-		cfg.Profile.Workers = cfg.Workers
-	}
-	if cfg.Search.Workers == 0 {
-		cfg.Search.Workers = cfg.Workers
-	}
-	// Same fan-out for the kernel policy: job-level knob, then the
-	// daemon default, reach any stage that did not pick its own.
 	if (cfg.Kernel == kernels.Policy{}) {
 		cfg.Kernel = m.cfg.Kernel
 	}
-	if (cfg.Profile.Kernel == kernels.Policy{}) {
-		cfg.Profile.Kernel = cfg.Kernel
-	}
-	if (cfg.Search.Kernel == kernels.Policy{}) {
-		cfg.Search.Kernel = cfg.Kernel
-	}
+	cfg = cfg.WithWorkers()
 
-	t0 := time.Now()
-	sctx, cancel := m.stageCtx(ctx)
-	rctx, rsp := obs.Start(sctx, "resolve",
-		obs.KV("model", req.Model), obs.KV("netdesc_bytes", len(req.Network)))
 	var (
 		net *nn.Network
 		ds  *dataset.Dataset
 	)
-	if err = fault.Hit(rctx, "serve.resolve"); err == nil {
-		net, ds, err = m.cfg.Resolver(rctx, req)
-	}
-	rsp.End()
-	cancel()
-	resolveTime := time.Since(t0)
-	m.metrics.ObserveStage(StageResolve, resolveTime)
+	resolveTime, err := m.stage(ctx, j, StageResolve, func(sctx context.Context) (err error) {
+		rctx, rsp := obs.Start(sctx, "resolve",
+			obs.KV("model", req.Model), obs.KV("netdesc_bytes", len(req.Network)))
+		defer rsp.End()
+		if err = fault.Hit(rctx, "serve.resolve"); err == nil {
+			net, ds, err = m.cfg.Resolver(rctx, req)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, false, fmt.Errorf("resolve: %w", err)
 	}
-	m.noteStage(j, StageResolve)
 
-	t0 = time.Now()
 	key := ProfileKey(net, ds, cfg.Profile)
-	sctx, cancel = m.stageCtx(ctx)
-	prof, cacheHit, err := m.cache.GetOrCompute(sctx, key, func(cctx context.Context) (*profile.Profile, error) {
-		// The breaker guards only the expensive compute path: cache
-		// hits are served even while it is open.
-		if berr := m.breaker.Allow(); berr != nil {
-			return nil, berr
-		}
-		p, perr := profile.RunContext(cctx, net, ds, cfg.Profile)
-		m.breaker.Record(cctx, perr)
-		return p, perr
+	var (
+		prof     *profile.Profile
+		cacheHit bool
+	)
+	profileTime, err := m.stage(ctx, j, StageProfile, func(sctx context.Context) (err error) {
+		prof, cacheHit, err = m.cache.GetOrCompute(sctx, key, func(cctx context.Context) (p *profile.Profile, err error) {
+			// The breaker guards only the expensive compute path: cache
+			// hits are served even while it is open. A panic is recorded
+			// as a failure, or a panicking half-open probe would leave
+			// the breaker probing for good.
+			if err = m.breaker.Allow(); err != nil {
+				return nil, err
+			}
+			err = errPanicked
+			defer func() { m.breaker.Record(cctx, err) }()
+			return profile.RunContext(cctx, net, ds, cfg.Profile)
+		})
+		return err
 	})
-	cancel()
-	profileTime := time.Since(t0)
-	m.metrics.ObserveStage(StageProfile, profileTime)
 	if err != nil {
 		return nil, false, fmt.Errorf("profile: %w", err)
 	}
-	m.noteStage(j, StageProfile)
 	if cacheHit {
 		m.metrics.cacheHits.Add(1)
 	} else {
 		m.metrics.cacheMisses.Add(1)
 	}
 
-	t0 = time.Now()
-	sctx, cancel = m.stageCtx(ctx)
-	sr, err := search.RunContext(sctx, net, prof, ds, cfg.Search)
-	cancel()
-	searchTime := time.Since(t0)
-	m.metrics.ObserveStage(StageSearch, searchTime)
+	var sr *search.Result
+	searchTime, err := m.stage(ctx, j, StageSearch, func(sctx context.Context) (err error) {
+		sr, err = search.RunContext(sctx, net, prof, ds, cfg.Search)
+		return err
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	m.noteStage(j, StageSearch)
 
+	res := &JobResult{
+		NetName:         net.Name,
+		SigmaYL:         sr.SigmaYL,
+		ExactAccuracy:   sr.ExactAccuracy,
+		TargetAccuracy:  sr.TargetAcc,
+		Evaluations:     sr.Evaluations,
+		Trace:           sr.Trace,
+		ProfileCacheHit: cacheHit,
+		ResolveMS:       millis(resolveTime),
+		ProfileMS:       millis(profileTime),
+		SearchMS:        millis(searchTime),
+	}
 	if req.Pareto != nil {
 		// Pareto-front job: the front replaces the single-objective ξ
 		// solve. The front cache keys on (profile key, search options,
 		// spec), so a repeated submission skips the whole search.
-		t0 = time.Now()
-		sctx, cancel = m.stageCtx(ctx)
 		fkey := FrontKey(key, cfg.Search, *req.Pareto, cfg.DeltaFloor)
-		pres, fhit, err := m.fronts.getOrCompute(sctx, fkey, func(cctx context.Context) (*ParetoResult, error) {
-			return computePareto(cctx, prof, sr.SigmaYL, *req.Pareto, cfg.DeltaFloor, cfg.Workers)
+		var (
+			pres *ParetoResult
+			fhit bool
+		)
+		paretoTime, err := m.stage(ctx, j, StagePareto, func(sctx context.Context) (err error) {
+			pres, fhit, err = m.fronts.GetOrCompute(sctx, fkey, func(cctx context.Context) (*ParetoResult, error) {
+				return computePareto(cctx, prof, sr.SigmaYL, *req.Pareto, cfg.DeltaFloor, cfg.Workers)
+			})
+			return err
 		})
-		cancel()
-		paretoTime := time.Since(t0)
-		m.metrics.ObservePareto(paretoTime)
 		if err != nil {
 			return nil, false, fmt.Errorf("pareto: %w", err)
 		}
-		m.noteStage(j, "pareto")
 		if fhit {
-			m.metrics.frontCacheHits.Add(1)
+			m.metrics.frontHits.Add(1)
 		} else {
-			m.metrics.frontCacheMisses.Add(1)
+			m.metrics.frontMisses.Add(1)
 		}
 		out := *pres // per-job copy; the cached value stays pristine
 		out.FrontCacheHit = fhit
-		return &JobResult{
-			NetName:         net.Name,
-			Objective:       "pareto",
-			SigmaYL:         sr.SigmaYL,
-			GuardedSigma:    sr.SigmaYL,
-			ExactAccuracy:   sr.ExactAccuracy,
-			TargetAccuracy:  sr.TargetAcc,
-			Evaluations:     sr.Evaluations,
-			Trace:           sr.Trace,
-			ProfileCacheHit: cacheHit,
-			ResolveMS:       1000 * resolveTime.Seconds(),
-			ProfileMS:       1000 * profileTime.Seconds(),
-			SearchMS:        1000 * searchTime.Seconds(),
-			Pareto:          &out,
-			ParetoMS:        1000 * paretoTime.Seconds(),
-		}, cacheHit, nil
+		res.Objective = "pareto"
+		res.GuardedSigma = sr.SigmaYL
+		res.Pareto = &out
+		res.ParetoMS = millis(paretoTime)
+		return res, cacheHit, nil
 	}
 
-	t0 = time.Now()
-	sctx, cancel = m.stageCtx(ctx)
-	alloc, sigma, retries, err := core.AllocateContext(sctx, net, ds, prof, sr, cfg)
-	cancel()
-	solveTime := time.Since(t0)
-	m.metrics.ObserveStage(StageSolve, solveTime)
+	var (
+		alloc   *core.Allocation
+		sigma   float64
+		retries int
+	)
+	solveTime, err := m.stage(ctx, j, StageSolve, func(sctx context.Context) (err error) {
+		alloc, sigma, retries, err = core.AllocateContext(sctx, net, ds, prof, sr, cfg)
+		return err
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	m.noteStage(j, StageSolve)
-
-	res := &JobResult{
-		NetName:            net.Name,
-		Objective:          cfg.Objective.String(),
-		SigmaYL:            sr.SigmaYL,
-		GuardedSigma:       sigma,
-		GuardRetries:       retries,
-		ExactAccuracy:      sr.ExactAccuracy,
-		TargetAccuracy:     sr.TargetAcc,
-		Evaluations:        sr.Evaluations,
-		Trace:              sr.Trace,
-		Bits:               alloc.Bits(),
-		EffectiveInputBits: alloc.EffectiveInputBits(),
-		EffectiveMACBits:   alloc.EffectiveMACBits(),
-		ProfileCacheHit:    cacheHit,
-		ResolveMS:          1000 * resolveTime.Seconds(),
-		ProfileMS:          1000 * profileTime.Seconds(),
-		SearchMS:           1000 * searchTime.Seconds(),
-		SolveMS:            1000 * solveTime.Seconds(),
-	}
+	res.Objective = cfg.Objective.String()
+	res.GuardedSigma = sigma
+	res.GuardRetries = retries
+	res.Bits = alloc.Bits()
+	res.EffectiveInputBits = alloc.EffectiveInputBits()
+	res.EffectiveMACBits = alloc.EffectiveMACBits()
+	res.SolveMS = millis(solveTime)
 	for _, l := range alloc.Layers {
 		res.Layers = append(res.Layers, LayerResult{
 			Name:     l.Name,

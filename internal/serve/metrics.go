@@ -8,15 +8,15 @@ import (
 	"mupod/internal/obs"
 )
 
-// Pipeline stages instrumented with latency histograms.
+// Pipeline stages, each timed once by Manager.stage: a job runs resolve,
+// profile and search, then solve or, for a Pareto-front job, pareto.
 const (
 	StageResolve = "resolve"
 	StageProfile = "profile"
 	StageSearch  = "search"
 	StageSolve   = "solve"
+	StagePareto  = "pareto"
 )
-
-var stageNames = []string{StageResolve, StageProfile, StageSearch, StageSolve}
 
 // Metrics aggregates the daemon's operational counters on a shared
 // obs.Registry. Registration order is load-bearing: the families below
@@ -36,7 +36,11 @@ type Metrics struct {
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 
-	stages map[string]*obs.Histogram // fixed key set, created at construction
+	// stages holds one latency histogram per pipeline stage: the four
+	// mupod_stage_latency_seconds series from construction, and
+	// mupod_pareto_latency_seconds from registerPareto, a family of its
+	// own because the golden test freezes the stage family's series.
+	stages map[string]*obs.LatencyHistogram
 
 	// Reliability counters, registered by the Manager after its gauges
 	// (registerReliability) so the golden page prefix stays byte-stable.
@@ -46,13 +50,10 @@ type Metrics struct {
 	recoveredFailed  *obs.Counter
 	breakerOpens     *obs.Counter
 
-	// Pareto-front families (registerPareto), appended for the same
-	// golden-prefix reason. The pareto stage gets its own latency
-	// family rather than a new series in mupod_stage_latency_seconds,
-	// whose series set is frozen by the golden test.
-	paretoLatency    *obs.Histogram
-	frontCacheHits   *obs.Counter
-	frontCacheMisses *obs.Counter
+	// Pareto front-cache counters (registerPareto), appended for the
+	// same golden-prefix reason.
+	frontHits   *obs.Counter
+	frontMisses *obs.Counter
 
 	// HTTP RED families (registerHTTP): request counts by
 	// route/method/code, per-route latency, in-flight gauge. Duration
@@ -101,9 +102,9 @@ func NewMetrics() *Metrics {
 	m.cancelled = r.Counter("mupod_jobs_completed_total", "Jobs finished, by terminal state.", "state", "cancelled")
 	m.cacheHits = r.Counter("mupod_profile_cache_hits_total", "Profiling runs served from the content-addressed cache.")
 	m.cacheMisses = r.Counter("mupod_profile_cache_misses_total", "Profiling runs computed from scratch.")
-	m.stages = make(map[string]*obs.Histogram, len(stageNames))
-	for _, s := range stageNames {
-		m.stages[s] = r.Histogram("mupod_stage_latency_seconds", "Per-stage pipeline latency.", obs.DefaultLatencyBuckets, "stage", s)
+	m.stages = make(map[string]*obs.LatencyHistogram)
+	for _, s := range []string{StageResolve, StageProfile, StageSearch, StageSolve} {
+		m.stages[s] = r.LatencyHistogram("mupod_stage_latency_seconds", "Per-stage pipeline latency.", "stage", s)
 	}
 	return m
 }
@@ -112,13 +113,6 @@ func NewMetrics() *Metrics {
 // attached (the Manager adds its gauges, exec and optimize their
 // engine counters) and the HTTP layer can render the whole page.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// ObserveStage records one stage latency.
-func (m *Metrics) ObserveStage(stage string, d time.Duration) {
-	if h, ok := m.stages[stage]; ok {
-		h.Observe(d.Seconds())
-	}
-}
 
 // CacheHits returns the profile-cache hit count so far.
 func (m *Metrics) CacheHits() uint64 { return m.cacheHits.Value() }
@@ -141,9 +135,9 @@ func (m *Metrics) registerReliability() {
 // the Manager after every pre-existing registration, so the /metrics
 // page grows strictly at the end.
 func (m *Metrics) registerPareto() {
-	m.paretoLatency = m.reg.Histogram("mupod_pareto_latency_seconds", "Pareto-front stage latency (sweep or NSGA-II search).", obs.DefaultLatencyBuckets)
-	m.frontCacheHits = m.reg.Counter("mupod_front_cache_hits_total", "Pareto fronts served from the content-addressed front cache.")
-	m.frontCacheMisses = m.reg.Counter("mupod_front_cache_misses_total", "Pareto fronts computed from scratch.")
+	m.stages[StagePareto] = m.reg.LatencyHistogram("mupod_pareto_latency_seconds", "Pareto-front stage latency (sweep or NSGA-II search).")
+	m.frontHits = m.reg.Counter("mupod_front_cache_hits_total", "Pareto fronts served from the content-addressed front cache.")
+	m.frontMisses = m.reg.Counter("mupod_front_cache_misses_total", "Pareto fronts computed from scratch.")
 }
 
 // registerHTTP attaches the HTTP RED families for the given route set.
@@ -254,18 +248,11 @@ func (m *Metrics) TenantShed(name string) uint64 {
 	return 0
 }
 
-// ObservePareto records one Pareto stage latency.
-func (m *Metrics) ObservePareto(d time.Duration) {
-	if m.paretoLatency != nil {
-		m.paretoLatency.Observe(d.Seconds())
-	}
-}
-
 // FrontCacheHits returns the front-cache hit count so far.
-func (m *Metrics) FrontCacheHits() uint64 { return m.frontCacheHits.Value() }
+func (m *Metrics) FrontCacheHits() uint64 { return m.frontHits.Value() }
 
 // FrontCacheMisses returns the front-cache miss count so far.
-func (m *Metrics) FrontCacheMisses() uint64 { return m.frontCacheMisses.Value() }
+func (m *Metrics) FrontCacheMisses() uint64 { return m.frontMisses.Value() }
 
 // Retries returns the transient-retry count so far.
 func (m *Metrics) Retries() uint64 { return m.retries.Value() }

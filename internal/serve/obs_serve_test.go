@@ -179,11 +179,48 @@ func TestJobTimeline(t *testing.T) {
 		}
 	}
 
+	res := j.Result()
+	checkStageMeasures(t, m, j, map[string]float64{
+		StageResolve: res.ResolveMS, StageProfile: res.ProfileMS,
+		StageSearch: res.SearchMS, StageSolve: res.SolveMS,
+	})
+
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 	_, body := get(t, srv.URL+"/v1/jobs/"+j.ID())
 	if !strings.Contains(body, `"timeline"`) || !strings.Contains(body, `"solve"`) {
 		t.Errorf("GET /v1/jobs/{id} body has no timeline: %s", body)
+	}
+}
+
+// checkStageMeasures asserts that each stage was measured once: its
+// timeline entry's SinceMS equals its JobResult field (want) bit for
+// bit, and its latency histogram holds exactly one observation.
+func checkStageMeasures(t *testing.T, m *Manager, j *Job, want map[string]float64) {
+	t.Helper()
+	var sb strings.Builder
+	m.Metrics().Registry().Write(&sb)
+	page := sb.String()
+	seen := 0
+	for _, e := range j.Timeline() {
+		ms, ok := want[e.Event]
+		if !ok {
+			continue
+		}
+		seen++
+		if e.SinceMS != ms {
+			t.Errorf("stage %s: timeline since_prev_ms = %v, result field = %v", e.Event, e.SinceMS, ms)
+		}
+		series := fmt.Sprintf("mupod_stage_latency_seconds_count{stage=%q} 1", e.Event)
+		if e.Event == StagePareto {
+			series = "mupod_pareto_latency_seconds_count 1"
+		}
+		if !strings.Contains(page, series+"\n") {
+			t.Errorf("/metrics lacks %q", series)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("timeline has %d of the %d stages %v", seen, len(want), want)
 	}
 }
 
@@ -207,6 +244,11 @@ func TestJobTimelinePareto(t *testing.T) {
 	if !slicesEqual(events, want) {
 		t.Fatalf("pareto timeline = %v, want %v", events, want)
 	}
+	res := j.Result()
+	checkStageMeasures(t, m, j, map[string]float64{
+		StageResolve: res.ResolveMS, StageProfile: res.ProfileMS,
+		StageSearch: res.SearchMS, StagePareto: res.ParetoMS,
+	})
 }
 
 // TestTimelineSurvivesRestart: the timeline — stage events included —

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sync"
 
 	"mupod/internal/kernels"
 	"mupod/internal/pareto"
@@ -116,91 +114,6 @@ func FrontKey(profileKey string, sopts search.Options, spec ParetoSpec, deltaFlo
 	io.WriteString(h, profileKey)
 	fmt.Fprintf(h, "\n%#v\n%#v\n%g", sopts, spec, deltaFloor)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// frontEntry is one (possibly still computing) cached front, with the
-// same single-flight semantics as the profile cache: ready closes when
-// res/err are final, failed entries are removed before ready closes so
-// a waiter retries as the new leader.
-type frontEntry struct {
-	ready chan struct{}
-	res   *ParetoResult
-	err   error
-	elem  *list.Element
-}
-
-// frontCache is the content-addressed LRU of computed Pareto fronts.
-// Fronts are small (a few dozen points), so it is bounded by count
-// only.
-type frontCache struct {
-	mu      sync.Mutex
-	entries map[string]*frontEntry
-	lru     *list.List // of string keys, front = most recent
-	cap     int
-}
-
-func newFrontCache(capacity int) *frontCache {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &frontCache{
-		entries: make(map[string]*frontEntry),
-		lru:     list.New(),
-		cap:     capacity,
-	}
-}
-
-// Len returns the number of completed cached fronts.
-func (c *frontCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// getOrCompute returns the cached front for key or runs compute to fill
-// it, sharing one computation across concurrent submissions.
-func (c *frontCache) getOrCompute(ctx context.Context, key string, compute func(context.Context) (*ParetoResult, error)) (res *ParetoResult, hit bool, err error) {
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			if e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if e.err != nil {
-				continue // leader failed; retry as (or behind) a new leader
-			}
-			return e.res, true, nil
-		}
-		e := &frontEntry{ready: make(chan struct{})}
-		c.entries[key] = e
-		c.mu.Unlock()
-
-		e.res, e.err = compute(ctx)
-		c.mu.Lock()
-		if e.err != nil {
-			delete(c.entries, key)
-		} else {
-			e.elem = c.lru.PushFront(key)
-			for c.lru.Len() > c.cap {
-				back := c.lru.Back()
-				k := back.Value.(string)
-				c.lru.Remove(back)
-				if old := c.entries[k]; old != nil {
-					old.elem = nil
-				}
-				delete(c.entries, k)
-			}
-		}
-		c.mu.Unlock()
-		close(e.ready)
-		return e.res, false, e.err
-	}
 }
 
 // computePareto runs the front computation for one job: the α-sweep
