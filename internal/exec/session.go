@@ -10,11 +10,10 @@ import (
 )
 
 // Session executes one network through pooled activation arenas. It
-// owns one output buffer per node plus one injection buffer per node
-// and a shared float64 scratch (the conv im2col columns), all reused
-// across calls, so the steady-state replay/forward hot path allocates
-// nothing. Dense math runs on the kernel backend the Session was
-// created with (see kernels.Policy).
+// owns one output buffer per node plus one injection buffer per node,
+// all reused across calls, so the steady-state replay/forward hot path
+// allocates nothing. Dense math runs on the kernel backend the Session
+// was created with (see kernels.Policy).
 //
 // A Session is NOT safe for concurrent use; create one per worker
 // goroutine. Any number of Sessions may share one Plan — the Plan and
@@ -27,11 +26,10 @@ type Session struct {
 	plan *Plan
 	be   kernels.Backend // resolved from the policy; carries the tracer (see Trace)
 
-	cur     []*tensor.Tensor   // per-call activation view, indexed by node ID
-	bufs    []*tensor.Tensor   // pooled output buffer per node
-	inbufs  []*tensor.Tensor   // pooled injected-input copy per node
-	ins     [][]*tensor.Tensor // pooled input-gather slice per node
-	scratch []float64          // layer working memory (im2col columns)
+	cur    []*tensor.Tensor   // per-call activation view, indexed by node ID
+	bufs   []*tensor.Tensor   // pooled output buffer per node
+	inbufs []*tensor.Tensor   // pooled injected-input copy per node
+	ins    [][]*tensor.Tensor // pooled input-gather slice per node
 
 	// Arena stats for the in-flight pass, batched in plain ints (the
 	// Session is single-goroutine) and published once per public call.
@@ -115,7 +113,7 @@ func (s *Session) gather(nd *nn.Node) []*tensor.Tensor {
 // session's kernel backend and records the result in cur.
 func (s *Session) step(l nn.Layer, id int, ins []*tensor.Tensor, batch int) {
 	out := s.buf(id, batch)
-	s.scratch = nn.ForwardLayer(s.be, l, ins, out, s.scratch)
+	nn.ForwardLayer(s.be, l, ins, out)
 	s.cur[id] = out
 }
 

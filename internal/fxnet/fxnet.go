@@ -118,7 +118,7 @@ func Run(net *nn.Network, alloc *core.Allocation, cfg Config, x *tensor.Tensor) 
 		f, quantized := formats[nd.ID]
 		if !quantized {
 			out := tensor.New(append([]int{x.Shape[0]}, nd.Shape...)...)
-			nn.ForwardLayer(kernels.Default(), nd.Layer, ins, out, nil)
+			nn.ForwardLayer(kernels.Default(), nd.Layer, ins, out)
 			acts[nd.ID] = out
 			continue
 		}

@@ -1,38 +1,39 @@
 // Package kernels is the compute layer under every forward pass: the
-// dense inner loops of conv (im2col + GEMM), depthwise conv, fully
-// connected layers and pooling fan-out. There is one implementation,
-// the Backend value: a cache-blocked, register-tiled GEMM over packed
-// 4-column panels with 8×4, 2×4 and 1×4 micro-kernels, depthwise conv
-// four planes per pass with hoisted bounds, and a 4-row-unrolled dense
-// kernel. im2col copies the image once into a zero-bordered buffer
-// from the pack pool, then fills each column-matrix row from one list
-// of receptive-field offsets, with no bounds test per element.
+// dense inner loops of conv, GEMM, depthwise conv, fully connected
+// layers and pooling fan-out. There is one implementation, the Backend
+// value with five methods: Conv, GEMM, DWConv, Dense and Fan. Conv and
+// GEMM share one kernel (conv.go): per call it packs the weights into
+// blocks of 8 output channels, and its micro-kernel computes 8 output
+// channels × 4 output pixels from them, reading activations in place
+// from the image, zero-padded once per image, through two offset
+// tables. GEMM is a 1×1 conv over B. Depthwise conv computes four
+// planes per pass with hoisted bounds, and dense unrolls 4 output rows.
 //
 // A Policy only decides how many goroutines one kernel call may use.
 // "blocked" (the default) runs every call on the calling goroutine;
-// "parallel" shards the output columns, planes or rows of one call
+// "parallel" shards the output pixels, planes or rows of one call
 // across IntraWorkers goroutines. Calls below 2 workers or 2^15
 // multiply-accumulates run serially either way.
 //
 // Reduction-order contract: each output element is bias + Σ terms in
-// one fixed ascending order (ascending l for GEMM, ascending (kh,kw)
-// for convolutions, ascending i for dense). Work is only ever
-// sharded across disjoint output elements, never across the reduction
-// dimension, so every policy gives the same bits at any worker count.
-// Caches therefore ignore the kernel policy, as they ignore worker
-// counts.
+// one fixed ascending order (ascending l for GEMM and Conv, whose l =
+// (ic, kh, kw) is the im2col row; ascending (kh,kw) for depthwise conv;
+// ascending i for dense). Work is only ever sharded across disjoint
+// output elements, never across the reduction dimension, so every
+// policy gives the same bits at any worker count. Caches therefore
+// ignore the kernel policy, as they ignore worker counts.
 //
-// The GEMM accumulates with fused multiply-add. FMA is IEEE-defined
+// Conv and GEMM accumulate with fused multiply-add. FMA is IEEE-defined
 // ("computed with only one rounding"), so results are identical
 // whether the CPU fuses in hardware or math.FMA falls back to its
 // software implementation. The GOAMD64 level therefore changes speed,
 // never bits. Built with GOAMD64=v3, which guarantees AVX2 and FMA,
-// the 8-row micro-kernel kern8x4 is Go assembly (kern8x4_amd64.s):
-// one YMM accumulator per row, whose four lanes each run the same
-// ascending-l FMA chain as the pure-Go kern2x4, and math.FMA compiles
-// to a bare VFMADD. Other builds run kern8x4 as four kern2x4 calls.
-// The amd64.v3 build tag alone selects the body; the same bit-for-bit
-// tests run at both levels in CI.
+// the micro-kernel convTile is Go assembly (tile_amd64.s): eight YMM
+// accumulators of 4 channels × 1 pixel, whose lanes each run the same
+// ascending-l FMA chain as the pure-Go body (tile_other.go), and
+// math.FMA compiles to a bare VFMADD. The amd64.v3 build tag alone
+// selects the body; the same bit-for-bit tests run at both levels in
+// CI.
 package kernels
 
 import (
@@ -67,10 +68,10 @@ type Backend struct {
 // Name returns the policy name the backend was resolved from.
 func (be Backend) Name() string { return implNames[be.impl] }
 
-// Traced returns be carrying ctx, so GEMM calls of at least 2^18
-// multiply-accumulates record "kernels.gemm" spans (attrs impl/m/n/k)
-// on ctx's tracer. When ctx carries no tracer the result records
-// nothing. Tracing never changes results.
+// Traced returns be carrying ctx, so GEMM calls and conv images of at
+// least 2^18 multiply-accumulates record "kernels.gemm" spans (attrs
+// impl/m/n/k) on ctx's tracer. When ctx carries no tracer the result
+// records nothing. Tracing never changes results.
 func Traced(ctx context.Context, be Backend) Backend {
 	be.ctx = nil
 	if obs.Enabled(ctx) {

@@ -76,12 +76,11 @@ func backendsUnderTest(t *testing.T) map[string]Backend {
 }
 
 // TestGEMMEquivalence pins every policy at 1 and 4 workers to refGEMM's
-// bits. m runs through every residue mod 8, so the 8-row micro-kernel,
-// the row pairs and the odd row all run; n covers the panels and the
-// scalar column tail, and k = 0 leaves only the bias. It runs at
-// whichever GOAMD64 level the test binary was built for, so both the Go
-// and the x86-64-v3 assembly bodies of kern8x4 are held to the same
-// bits.
+// bits. m runs through every residue mod 8 and n through every residue
+// mod 4, so full and ragged tiles of the conv kernel GEMM runs on all
+// run, and k = 0 leaves only the bias. It runs at whichever GOAMD64
+// level the test binary was built for, so both the Go and the
+// x86-64-v3 assembly bodies of convTile are held to the same bits.
 func TestGEMMEquivalence(t *testing.T) {
 	type shape struct{ m, n, k int }
 	shapes := []shape{
@@ -239,9 +238,9 @@ func TestDenseEquivalence(t *testing.T) {
 	}
 }
 
-// refIm2col is the bounds-checked per-element lowering every policy's
-// Im2col is checked against: each column-matrix entry is read from the
-// image or, outside it, set to zero.
+// refIm2col is the bounds-checked per-element lowering of one [inC, H,
+// W] image into its [inC·K·K, OH·OW] column matrix: each entry is read
+// from the image or, outside it, set to zero.
 func refIm2col(g ConvGeom, inC int, x, cols []float64) {
 	i := 0
 	for ic := 0; ic < inC; ic++ {
@@ -263,50 +262,121 @@ func refIm2col(g ConvGeom, inC int, x, cols []float64) {
 	}
 }
 
-// checkIm2col compares every policy's Im2col with refIm2col bit for
-// bit, into a column buffer holding stale data.
-func checkIm2col(t *testing.T, g ConvGeom, inC int, x []float64) {
+// refConv is Conv's contract written out: each image's refIm2col column
+// matrix times the weights through refGEMM.
+func refConv(g ConvGeom, batch, inC, outC int, x, w, bias, out []float64) {
+	k, n := inC*g.K*g.K, g.OH*g.OW
+	cols := make([]float64, k*n)
+	for i := 0; i < batch; i++ {
+		refIm2col(g, inC, x[i*inC*g.H*g.W:], cols)
+		refGEMM(outC, n, k, w, cols, bias, out[i*outC*n:])
+	}
+}
+
+// checkConv compares every policy's Conv with refConv bit for bit, into
+// a NaN-filled output.
+func checkConv(t *testing.T, g ConvGeom, batch, inC, outC int, x, w, bias []float64) {
 	t.Helper()
-	want := make([]float64, inC*g.K*g.K*g.OH*g.OW)
-	refIm2col(g, inC, x, want)
+	want := make([]float64, batch*outC*g.OH*g.OW)
+	refConv(g, batch, inC, outC, x, w, bias, want)
 	for name, be := range backendsUnderTest(t) {
 		got := make([]float64, len(want))
 		for i := range got {
-			got[i] = math.NaN()
+			got[i] = math.NaN() // every element must be written
 		}
-		be.Im2col(g, inC, x, got)
+		be.Conv(g, batch, inC, outC, x, w, bias, got)
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s Im2col %+v inC=%d: mismatch at %d: got %v want %v", name, g, inC, i, got[i], want[i])
+				t.Fatalf("%s Conv %+v batch=%d inC=%d outC=%d (bias %t): index %d is %x, want the FMA chain's %x",
+					name, g, batch, inC, outC, bias != nil, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}
 }
 
-func TestIm2colEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
+// TestConvEquivalence pins every policy at 1 and 4 workers to refConv's
+// bits. outC runs 1…17, so full and ragged 8-channel blocks run; the
+// maps cover OH·OW mod 4 = 0, 1, 2 and 3 (1×1 included), so full and
+// ragged 4-pixel tiles run; K is 1, 2, 3 or 5, stride 1–3, pad 0–3
+// (pad > K included), with unpadded stride-1 1×1 convs, which read the
+// image in place; batch is 1 or 3, the bias set or nil. It runs at
+// whichever GOAMD64 level the test binary was built for, so the Go and
+// the x86-64-v3 assembly bodies of convTile are held to the same bits.
+func TestConvEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		g   ConvGeom
 		inC int
 	}{
-		{geom(8, 8, 3, 1, 1), 3},
-		{geom(6, 6, 1, 1, 0), 5},
-		{geom(9, 9, 2, 3, 0), 2},
-		{geom(4, 4, 3, 1, 2), 4},
+		{geom(8, 8, 3, 1, 1), 3},    // 64 pixels
+		{geom(5, 5, 3, 1, 1), 2},    // 25: one ragged pixel
+		{geom(5, 4, 3, 2, 1), 3},    // 3×2 = 6: two ragged pixels, stride 2
+		{geom(3, 5, 3, 1, 1), 2},    // 15: three ragged pixels
+		{geom(1, 1, 3, 1, 1), 4},    // 1×1 map (a 1×1 input, K = 3)
+		{geom(2, 2, 2, 1, 0), 3},    // 1×1 map, K = 2, unpadded
+		{geom(9, 9, 3, 2, 1), 2},    // 5×5, stride 2, pad 1
+		{geom(9, 9, 5, 2, 2), 1},    // K = 5, pad 2
+		{geom(4, 4, 3, 1, 2), 2},    // pad 2: pad-dominant windows
+		{geom(8, 6, 2, 2, 0), 2},    // K = 2, stride 2
+		{geom(6, 6, 1, 1, 0), 5},    // unpadded stride-1 1×1: the image in place
+		{geom(1, 7, 1, 1, 0), 3},    // the same, 7 pixels
+		{geom(8, 8, 1, 2, 0), 4},    // 1×1, stride 2
+		{geom(4, 4, 1, 1, 1), 3},    // 1×1, pad 1
+		{geom(17, 17, 3, 1, 1), 1},  // 289 pixels: parallel shards two chunks
+		{geom(9, 9, 2, 3, 0), 2},    // stride > K
 		{geom(16, 16, 3, 2, 1), 3},  // stride 2, pad 1 (mobilenet conv1)
 		{geom(2, 2, 3, 1, 1), 32},   // 2×2 input (nin conv10)
-		{geom(1, 1, 3, 1, 1), 40},   // 1×1 input
+		{geom(1, 1, 3, 1, 1), 40},   // 1×1 input, 40 channels
 		{geom(3, 5, 2, 1, 3), 2},    // pad > K
 		{geom(4, 4, 3, 2, 3), 3},    // pad = K, strided
-		{geom(16, 16, 3, 1, 1), 64}, // large enough for parallel to shard
+		{geom(16, 16, 3, 1, 1), 64}, // 256 pixels, k = 576
 	} {
-		checkIm2col(t, tc.g, tc.inC, fill(r, tc.inC*tc.g.H*tc.g.W))
+		for outC := 1; outC <= 17; outC++ {
+			r := rand.New(rand.NewSource(int64(4 + outC)))
+			g, batch := tc.g, 1+2*(outC%2)
+			x := fillEdge(r, batch*tc.inC*g.H*g.W)
+			w := fillEdge(r, outC*tc.inC*g.K*g.K)
+			bias := fillEdge(r, outC)
+			checkConv(t, g, batch, tc.inC, outC, x, w, bias)
+			checkConv(t, g, batch, tc.inC, outC, x, w, nil)
+		}
 	}
 }
 
-// FuzzIm2col checks random geometries against refIm2col: H, W ≤ 12,
-// K ≤ 5, stride ≤ 3, pad ≤ K, up to 8 channels. In-range arguments are
-// taken as they are; others wrap into range.
+// FuzzConv checks random geometries, batches, channel counts and biases
+// against refConv: H, W ≤ 12, K ≤ 5, stride ≤ 3, pad ≤ K, up to 8 input
+// and 20 output channels, batch ≤ 3. In-range arguments are taken as
+// they are; others wrap into range.
+func FuzzConv(f *testing.F) {
+	f.Add(12, 12, 3, 2, 1, 3, 9, 2, true, int64(1)) // stride 2, pad 1
+	f.Add(2, 2, 3, 1, 1, 8, 17, 1, false, int64(2)) // 2×2 input, K = 3
+	f.Add(1, 1, 3, 1, 1, 4, 8, 3, true, int64(3))   // 1×1 input, K = 3
+	f.Add(3, 5, 2, 3, 2, 2, 5, 2, true, int64(4))   // pad = K
+	f.Add(7, 5, 1, 1, 0, 6, 12, 3, false, int64(5)) // unpadded 1×1, 35 pixels
+	f.Fuzz(func(t *testing.T, h, w, k, stride, pad, inC, outC, batch int, withBias bool, seed int64) {
+		h, w, k = wrap(h, 1, 12), wrap(w, 1, 12), wrap(k, 1, 5)
+		stride, pad, inC = wrap(stride, 1, 3), wrap(pad, 0, k+1), wrap(inC, 1, 8)
+		outC, batch = wrap(outC, 1, 20), wrap(batch, 1, 3)
+		if h+2*pad < k || w+2*pad < k {
+			return
+		}
+		g := geom(h, w, k, stride, pad)
+		r := rand.New(rand.NewSource(seed))
+		x, wt := fillEdge(r, batch*inC*h*w), fillEdge(r, outC*inC*k*k)
+		var bias []float64
+		if withBias {
+			bias = fillEdge(r, outC)
+		}
+		checkConv(t, g, batch, inC, outC, x, wt, bias)
+	})
+}
+
+// FuzzIm2col checks Conv's receptive-field addressing on its own: with
+// identity weights (outC = inC·K·K, w[o][l] = 1 for o = l, else 0) and
+// no bias, output row o is row o of the column matrix, since each
+// chain adds exact zeros around the one product 1·col[o][p]. Every
+// policy must return refIm2col's matrix bit for bit (fill draws no
+// −0). H, W ≤ 12, K ≤ 5, stride ≤ 3, pad ≤ K, up to 8 channels;
+// in-range arguments are taken as they are, others wrap into range.
 func FuzzIm2col(f *testing.F) {
 	f.Add(12, 12, 3, 2, 1, 3, int64(1)) // stride 2, pad 1
 	f.Add(2, 2, 3, 1, 1, 8, int64(2))   // 2×2 input, K = 3
@@ -319,7 +389,24 @@ func FuzzIm2col(f *testing.F) {
 			return
 		}
 		g := geom(h, w, k, stride, pad)
-		checkIm2col(t, g, inC, fill(rand.New(rand.NewSource(seed)), inC*h*w))
+		x := fill(rand.New(rand.NewSource(seed)), inC*h*w)
+		rows := inC * k * k
+		want := make([]float64, rows*g.OH*g.OW)
+		refIm2col(g, inC, x, want)
+		eye := make([]float64, rows*rows)
+		for o := 0; o < rows; o++ {
+			eye[o*rows+o] = 1
+		}
+		for name, be := range backendsUnderTest(t) {
+			got := make([]float64, len(want))
+			be.Conv(g, 1, inC, rows, x, eye, nil, got)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s identity Conv %+v inC=%d: index %d is %v, want the column matrix's %v",
+						name, g, inC, i, got[i], want[i])
+				}
+			}
+		}
 	})
 }
 
@@ -442,6 +529,12 @@ func TestDispatchMetrics(t *testing.T) {
 	if got := m.Dispatch("blocked", "gemm").Value(); got != 1 {
 		t.Fatalf("gemm dispatch count = %d", got)
 	}
+	// A conv counts one GEMM per image.
+	g := geom(3, 3, 3, 1, 1)
+	be.Conv(g, 3, 1, 2, make([]float64, 3*9), make([]float64, 2*9), nil, make([]float64, 3*2*9))
+	if got := m.Dispatch("blocked", "gemm").Value(); got != 4 {
+		t.Fatalf("gemm dispatch count after a batch-3 conv = %d, want 4", got)
+	}
 	if got := m.Dispatch("blocked", "fan").Value(); got != 1 {
 		t.Fatalf("fan dispatch count = %d", got)
 	}
@@ -450,7 +543,7 @@ func TestDispatchMetrics(t *testing.T) {
 	if got := m.Dispatch("parallel", "fan").Value(); got != 1 {
 		t.Fatalf("parallel fan dispatch count = %d", got)
 	}
-	if m.Dispatch("blocked", "dot") != nil || m.Dispatch("parallel", "axpy") != nil {
+	if m.Dispatch("blocked", "dot") != nil || m.Dispatch("parallel", "axpy") != nil || m.Dispatch("blocked", "im2col") != nil {
 		t.Fatal("retired ops should have no counter")
 	}
 	if m.Dispatch("blocked", "nope") != nil || m.Dispatch("nope", "gemm") != nil || m.Dispatch("naive", "gemm") != nil {
@@ -459,8 +552,9 @@ func TestDispatchMetrics(t *testing.T) {
 }
 
 // TestTracedGEMM: a traced backend records one "kernels.gemm" span per
-// GEMM of at least traceMinMACs and none for smaller calls, counts each
-// call once, and computes the untraced bits.
+// GEMM of at least traceMinMACs, and per conv image of that size, and
+// none for smaller calls, counts each GEMM and image once, and computes
+// the untraced bits.
 func TestTracedGEMM(t *testing.T) {
 	r := obs.NewRegistry()
 	metrics := EnableMetrics(r)
@@ -492,6 +586,25 @@ func TestTracedGEMM(t *testing.T) {
 	if got := metrics.Dispatch("parallel", "gemm").Value(); got != 3 {
 		t.Errorf("gemm dispatch count = %d, want 3 (one per call)", got)
 	}
+	// A batch-3 conv of 8·256·144 ≥ traceMinMACs per image: one span per
+	// image.
+	g := geom(16, 16, 3, 1, 1)
+	const batch, inC, outC = 3, 16, 8
+	rr := rand.New(rand.NewSource(8))
+	x, w := fill(rr, batch*inC*g.H*g.W), fill(rr, outC*inC*g.K*g.K)
+	wantConv := make([]float64, batch*outC*g.OH*g.OW)
+	gotConv := make([]float64, len(wantConv))
+	MustNew(Policy{Impl: "parallel", IntraWorkers: 2}).Conv(g, batch, inC, outC, x, w, bias, wantConv)
+	be.Conv(g, batch, inC, outC, x, w, bias, gotConv)
+	if !slices.Equal(gotConv, wantConv) {
+		t.Fatal("traced Conv changed the result")
+	}
+	if spans := tr.Spans(); len(spans) != 1+batch {
+		t.Fatalf("recorded %d spans after a batch-%d conv, want %d", len(spans), batch, 1+batch)
+	}
+	if got := metrics.Dispatch("parallel", "gemm").Value(); got != 3+2*batch {
+		t.Errorf("gemm dispatch count = %d, want %d (one per image)", got, 3+2*batch)
+	}
 	// A context without a tracer, or re-tracing with one, drops the span
 	// carrier again.
 	if untraced := Traced(context.Background(), be); untraced != MustNew(Policy{Impl: "parallel", IntraWorkers: 2}) {
@@ -522,7 +635,7 @@ func gemmInputs(m, n, k int) (a, b, bias, c []float64) {
 // the profiling replays run: (m, n, k) = (32, 16, 288) alexnet conv4,
 // (24, 64, 24) nin conv5, (10, 4, 288) nin conv10, (32, 4, 32)
 // mobilenet conv15 and (40, 1, 32) mobilenet conv25, whose single
-// column takes only the scalar tail.
+// column runs one ragged tile per 8 rows.
 func BenchmarkGEMMBackends(b *testing.B) {
 	type shape struct {
 		impl, suffix string

@@ -25,14 +25,13 @@ type opID int
 
 const (
 	opGEMM opID = iota
-	opIm2col
 	opDWConv
 	opDense
 	opFan
 	numOps
 )
 
-var opNames = [numOps]string{"gemm", "im2col", "dwconv", "dense", "fan"}
+var opNames = [numOps]string{"gemm", "dwconv", "dense", "fan"}
 
 // Metrics is the kernel-layer counter set:
 // mupod_kernel_dispatch_total{impl,op} counts kernel invocations per

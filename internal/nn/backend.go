@@ -6,26 +6,27 @@ import (
 )
 
 // BackendForwarder is implemented by layers whose forward pass is dense
-// math delegated to a kernels.Backend — conv (im2col+GEMM), depthwise
+// math delegated to a kernels.Backend — conv (Backend.Conv), depthwise
 // conv, fully connected, and the pooling layers (plane fan-out). The
-// scratch contract is identical to IntoForwarder; the extra parameter
-// selects the compute implementation per call instead of per process,
-// so concurrent sessions can run different kernel policies.
+// out and scratch contract is identical to IntoForwarder; the extra
+// parameter selects the compute implementation per call instead of per
+// process, so concurrent sessions can run different kernel policies.
 type BackendForwarder interface {
 	ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
 }
 
 // ForwardLayer computes l's forward pass on ins into out, on be when l
 // is a BackendForwarder and with ForwardInto when it is an
-// IntoForwarder; AddNode admits no other layer. out and scratch follow
-// the IntoForwarder contract. Every float pass runs its layers through
-// it: internal/exec's pooled passes, ForwardAll, and the float nodes of
+// IntoForwarder; AddNode admits no other layer. out follows the
+// IntoForwarder contract. Every float pass runs its layers through it:
+// internal/exec's pooled passes, ForwardAll, and the float nodes of
 // internal/fxnet's integer datapath.
-func ForwardLayer(be kernels.Backend, l Layer, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
+func ForwardLayer(be kernels.Backend, l Layer, ins []*tensor.Tensor, out *tensor.Tensor) {
 	if f, ok := l.(BackendForwarder); ok {
-		return f.ForwardIntoOn(be, ins, out, scratch)
+		f.ForwardIntoOn(be, ins, out, nil)
+		return
 	}
-	return l.(IntoForwarder).ForwardInto(ins, out, scratch)
+	l.(IntoForwarder).ForwardInto(ins, out, nil)
 }
 
 // convGeom builds the kernel-layer geometry for one conv/pool call.
@@ -33,34 +34,14 @@ func convGeom(h, w, k, stride, pad, oh, ow int) kernels.ConvGeom {
 	return kernels.ConvGeom{H: h, W: w, K: k, Stride: stride, Pad: pad, OH: oh, OW: ow}
 }
 
-// ForwardIntoOn implements BackendForwarder: the convolution as
-// OutC×(InC·K·K) times (InC·K·K)×(OH·OW) per image, with the im2col
-// column matrix carried in scratch instead of allocated per call. A
-// 1×1, stride-1, unpadded conv's column matrix is the image itself, so
-// the image goes to GEMM directly.
+// ForwardIntoOn implements BackendForwarder: one Backend.Conv call over
+// the batch, so the weights are packed once per layer call.
 func (c *Conv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("conv", ins, 1)
 	x := ins[0]
-	N, H, W := x.Shape[0], x.Shape[2], x.Shape[3]
 	os := c.OutShape([][]int{x.Shape})
-	OH, OW := os[2], os[3]
-	g := convGeom(H, W, c.K, c.Stride, c.Pad, OH, OW)
-	plane := OH * OW
-	ckk := c.InC * c.K * c.K
-	direct := c.K == 1 && c.Stride == 1 && c.Pad == 0
-	if !direct {
-		scratch = growScratch(scratch, ckk*plane)
-	}
-	imgIn := c.InC * H * W
-	imgOut := c.OutC * plane
-	for n := 0; n < N; n++ {
-		cols := x.Data[n*imgIn : (n+1)*imgIn]
-		if !direct {
-			be.Im2col(g, c.InC, cols, scratch)
-			cols = scratch
-		}
-		be.GEMM(c.OutC, plane, ckk, c.W.Data, cols, c.B.Data, out.Data[n*imgOut:(n+1)*imgOut])
-	}
+	g := convGeom(x.Shape[2], x.Shape[3], c.K, c.Stride, c.Pad, os[2], os[3])
+	be.Conv(g, x.Shape[0], c.InC, c.OutC, x.Data, c.W.Data, c.B.Data, out.Data)
 	return scratch
 }
 

@@ -90,7 +90,7 @@ func TestForwardLayerDispatch(t *testing.T) {
 		}
 		got := tensor.New(want.Shape...)
 		got.Fill(math.NaN())
-		ForwardLayer(be, tc.l, tc.ins, got, nil)
+		ForwardLayer(be, tc.l, tc.ins, got)
 		for i := range want.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%s: ForwardLayer and the layer's own forward disagree at element %d", tc.l.Kind(), i)
@@ -146,14 +146,14 @@ func TestPoolAndDenseBackendsBitIdentical(t *testing.T) {
 }
 
 // TestConv1x1IsGEMMOnInput: a 1×1 conv through ForwardIntoOn equals
-// GEMM on the im2col'd input bit for bit, under every policy. Stride 1
-// without padding takes the direct path, which skips im2col; stride 2
-// and padding must not.
+// GEMM on its column matrix bit for bit, under every policy. The test
+// builds the matrix itself: the input at stride 1 without padding (which
+// the kernel reads in place), its strided samples at stride 2, and a
+// zero border at pad 1.
 func TestConv1x1IsGEMMOnInput(t *testing.T) {
 	r := rng.New(37)
 	const inC, outC, hw, batch = 32, 24, 8, 2
 	x := randTensor(r, batch, inC, hw, hw)
-	const img = inC * hw * hw
 	for _, geo := range []struct{ stride, pad int }{{1, 0}, {2, 0}, {1, 1}} {
 		c := NewConv2D(inC, outC, 1, geo.stride, geo.pad)
 		c.InitHe(r, 1)
@@ -161,21 +161,27 @@ func TestConv1x1IsGEMMOnInput(t *testing.T) {
 			c.B.Data[i] = r.Uniform(-0.5, 0.5)
 		}
 		os := c.OutShape([][]int{x.Shape})
-		g := convGeom(hw, hw, 1, geo.stride, geo.pad, os[2], os[3])
-		plane := os[2] * os[3]
+		oh, ow := os[2], os[3]
+		plane := oh * ow
+		cols := make([]float64, batch*inC*plane)
+		for i := range cols {
+			n, ic, p := i/(inC*plane), i/plane%inC, i%plane
+			ih, iw := p/ow*geo.stride-geo.pad, p%ow*geo.stride-geo.pad
+			if ih >= 0 && ih < hw && iw >= 0 && iw < hw {
+				cols[i] = x.At4(n, ic, ih, iw)
+			}
+		}
 		for _, name := range kernels.Names() {
 			for _, workers := range []int{1, 3} {
 				be := kernels.MustNew(kernels.Policy{Impl: name, IntraWorkers: workers})
 				got := tensor.New(os...)
 				c.ForwardIntoOn(be, []*tensor.Tensor{x}, got, nil)
-				cols := make([]float64, inC*plane)
 				want := make([]float64, outC*plane)
 				for n := 0; n < batch; n++ {
-					be.Im2col(g, inC, x.Data[n*img:(n+1)*img], cols)
-					be.GEMM(outC, plane, inC, c.W.Data, cols, c.B.Data, want)
+					be.GEMM(outC, plane, inC, c.W.Data, cols[n*inC*plane:(n+1)*inC*plane], c.B.Data, want)
 					for i, w := range want {
 						if math.Float64bits(got.Data[n*outC*plane+i]) != math.Float64bits(w) {
-							t.Fatalf("%+v %s/w%d image %d element %d: conv %v, GEMM on im2col %v",
+							t.Fatalf("%+v %s/w%d image %d element %d: conv %v, GEMM on the column matrix %v",
 								geo, name, workers, n, i, got.Data[n*outC*plane+i], w)
 						}
 					}
@@ -186,25 +192,37 @@ func TestConv1x1IsGEMMOnInput(t *testing.T) {
 }
 
 // BenchmarkConvBackends times 3×3 convs from 16×16 down to the 4×4 and
-// 2×2 maps the zoo's profiling replays run, and one 1×1 conv.
+// 2×2 maps the zoo's profiling replays run, and one 1×1 conv, at batch
+// 1; then, suffixed "-b8", the same shapes at batch 8 (the batch the
+// offline profiling replays run) plus a ragged 13×13 map (169 pixels)
+// and a 1×1 map.
 func BenchmarkConvBackends(b *testing.B) {
 	r := rng.New(36)
-	for _, cse := range []struct{ c, hw, k int }{{8, 16, 3}, {32, 16, 3}, {64, 8, 3}, {32, 4, 3}, {32, 2, 3}, {32, 8, 1}} {
+	type shape struct{ c, hw, k, batch int }
+	shapes := []shape{{8, 16, 3, 1}, {32, 16, 3, 1}, {64, 8, 3, 1}, {32, 4, 3, 1}, {32, 2, 3, 1}, {32, 8, 1, 1}}
+	for _, sh := range shapes {
+		sh.batch = 8
+		shapes = append(shapes, sh)
+	}
+	shapes = append(shapes, shape{64, 13, 3, 8}, shape{32, 1, 3, 8})
+	for _, cse := range shapes {
 		c := NewConv2D(cse.c, cse.c, cse.k, 1, cse.k/2)
 		c.InitHe(r, 1)
-		x := randTensor(r, 1, cse.c, cse.hw, cse.hw)
+		x := randTensor(r, cse.batch, cse.c, cse.hw, cse.hw)
 		ins := []*tensor.Tensor{x}
 		out := tensor.New(c.OutShape([][]int{x.Shape})...)
 		suffix := ""
 		if cse.k != 3 {
 			suffix = fmt.Sprintf("-k%d", cse.k)
 		}
+		if cse.batch != 1 {
+			suffix += fmt.Sprintf("-b%d", cse.batch)
+		}
 		for _, name := range kernels.Names() {
 			be := kernels.MustNew(kernels.Policy{Impl: name})
-			var scratch []float64
 			b.Run(fmt.Sprintf("%s-c%d-hw%d%s", name, cse.c, cse.hw, suffix), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					scratch = c.ForwardIntoOn(be, ins, out, scratch)
+					c.ForwardIntoOn(be, ins, out, nil)
 				}
 			})
 		}

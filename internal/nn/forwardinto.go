@@ -15,24 +15,16 @@ import (
 // Contract: out must have the layer's exact output element count for
 // the given inputs (shape metadata is trusted, not checked on the hot
 // path); every element of out is overwritten, so a dirty buffer is
-// fine. scratch is optional reusable working memory — implementations
-// that need temporaries (the conv path's im2col columns) grow it as
-// needed and return it so the caller can pass it back next call.
-// Implementations that need no temporaries return scratch unchanged.
+// fine. scratch is reusable working memory a layer may grow and return
+// for the caller to pass back next call. No layer needs any now (the
+// conv kernel draws its buffers from internal/kernels' pools), so every
+// implementation returns scratch unchanged; the parameter stays because
+// the benchmark harness's per-node timing passes it.
 //
 // Layers whose math lives in internal/kernels implement
 // BackendForwarder instead.
 type IntoForwarder interface {
 	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
-}
-
-// growScratch returns a slice of at least n elements, reusing s's
-// backing array when it is large enough.
-func growScratch(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // ForwardInto implements IntoForwarder.

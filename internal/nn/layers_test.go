@@ -17,7 +17,7 @@ func forward(l Layer, ins ...*tensor.Tensor) *tensor.Tensor {
 		shapes[i] = t.Shape
 	}
 	out := tensor.New(l.OutShape(shapes)...)
-	ForwardLayer(kernels.Default(), l, ins, out, nil)
+	ForwardLayer(kernels.Default(), l, ins, out)
 	return out
 }
 

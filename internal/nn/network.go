@@ -168,7 +168,7 @@ func (n *Network) ForwardAllOn(be kernels.Backend, x *tensor.Tensor) []*tensor.T
 			inShapes[i] = t.Shape
 		}
 		out := tensor.New(nd.Layer.OutShape(inShapes)...)
-		ForwardLayer(be, nd.Layer, ins, out, nil)
+		ForwardLayer(be, nd.Layer, ins, out)
 		acts[nd.ID] = out
 	}
 	return acts

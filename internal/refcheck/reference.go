@@ -29,8 +29,8 @@ func at4(x *tensor.Tensor, n, c, h, w int) float64 {
 
 // MatMulRef is the naive O(m·n·k) reference GEMM: out[i,j] = Σ_l
 // a[i,l]·b[l,j] with a plain left-to-right accumulation. The optimized
-// im2col+GEMM convolution is checked against convolution computed this
-// way (and against the direct reference loops).
+// conv kernel is checked against convolution computed this way (and
+// against the direct reference loops).
 func MatMulRef(m, n, k int, a, b []float64) []float64 {
 	out := make([]float64, m*n)
 	for i := 0; i < m; i++ {
