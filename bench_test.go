@@ -151,9 +151,9 @@ func BenchmarkMethodVsSearch(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md §4) ---
 
-// BenchmarkAblationSolver compares the Newton-KKT solver against
-// projected gradient descent on the Eq. 8 objective of a profiled net.
-func BenchmarkAblationSolver(b *testing.B) {
+// BenchmarkSolve times the exact Eq. 8 solver on the objective of a
+// profiled net and reports its bisection steps and objective value.
+func BenchmarkSolve(b *testing.B) {
 	net := zoo.MustLoad(zoo.GoogleNet)
 	_, te := zoo.Data(zoo.GoogleNet)
 	prof, err := profile.Run(net, te, profile.Config{Images: 12, Points: 6, Seed: 1})
@@ -168,28 +168,15 @@ func BenchmarkAblationSolver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("newton-kkt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			xi, st, err := optimize.SolveNewtonKKT(obj, optimize.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = xi
-			b.ReportMetric(float64(st.Iterations), "iters")
-			b.ReportMetric(st.Value, "objective")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := optimize.Solve(context.Background(), obj)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("projected-gradient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			xi, st, err := optimize.SolveProjectedGradient(obj, optimize.Options{MaxIter: 2000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = xi
-			b.ReportMetric(float64(st.Iterations), "iters")
-			b.ReportMetric(st.Value, "objective")
-		}
-	})
+		b.ReportMetric(float64(st.Iterations), "iters")
+		b.ReportMetric(st.Value, "objective")
+	}
 }
 
 // BenchmarkAblationScheme compares the cost of the two σ-validation

@@ -59,11 +59,10 @@ func (o Objective) String() string {
 type Config struct {
 	Profile   profile.Config
 	Search    search.Options
-	Solver    optimize.Options
 	Objective Objective
 	// Rho supplies the weights when Objective == CustomRho.
 	Rho []float64
-	// DeltaFloor caps the finest Δ (default 2^-20, see optimize).
+	// DeltaFloor caps the finest Δ (0 = optimize.DefaultDeltaFloor).
 	DeltaFloor float64
 
 	// Guard enables a post-allocation validation loop with REAL
@@ -234,7 +233,7 @@ func FromXiScaled(prof *profile.Profile, sigmaYL float64, xi []float64, objectiv
 		return nil, fmt.Errorf("core: ξ has %d entries for %d layers", len(xi), prof.NumLayers())
 	}
 	if deltaFloor <= 0 {
-		deltaFloor = 1.0 / (1 << 20)
+		deltaFloor = optimize.DefaultDeltaFloor
 	}
 	if deltaScale <= 0 {
 		return nil, fmt.Errorf("core: non-positive delta scale %g", deltaScale)
@@ -332,15 +331,8 @@ func rhoFor(prof *profile.Profile, obj Objective, custom []float64) ([]float64, 
 }
 
 // OptimizeXi solves Eq. 8 for the given profile, σ_YŁ and objective and
-// returns the optimal decomposition.
-func OptimizeXi(prof *profile.Profile, sigmaYL float64, cfg Config) ([]float64, error) {
-	xi, _, err := OptimizeXiContext(context.Background(), prof, sigmaYL, cfg)
-	return xi, err
-}
-
-// OptimizeXiContext is OptimizeXi with telemetry (per-iteration solver
-// spans via ctx) and the solver's convergence Stats exposed.
-func OptimizeXiContext(ctx context.Context, prof *profile.Profile, sigmaYL float64, cfg Config) ([]float64, optimize.Stats, error) {
+// returns the optimal decomposition with the solver's Stats.
+func OptimizeXi(ctx context.Context, prof *profile.Profile, sigmaYL float64, cfg Config) ([]float64, optimize.Stats, error) {
 	rho, err := rhoFor(prof, cfg.Objective, cfg.Rho)
 	if err != nil {
 		return nil, optimize.Stats{}, err
@@ -349,7 +341,7 @@ func OptimizeXiContext(ctx context.Context, prof *profile.Profile, sigmaYL float
 	if err != nil {
 		return nil, optimize.Stats{}, err
 	}
-	return optimize.SolveNewtonKKTContext(ctx, obj, cfg.Solver)
+	return optimize.Solve(ctx, obj)
 }
 
 // Result is the output of a full pipeline run.
@@ -443,9 +435,8 @@ func AllocateContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, 
 		retries = 10
 	}
 	sctx, ssp := obs.Start(ctx, "solve", obs.KV("sigma", sigma))
-	xi, st, err := OptimizeXiContext(sctx, prof, sigma, cfg)
+	xi, st, err := OptimizeXi(sctx, prof, sigma, cfg)
 	ssp.SetAttr("iterations", st.Iterations)
-	ssp.SetAttr("converged", st.Converged)
 	ssp.End()
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("core: ξ optimization: %w", err)

@@ -137,11 +137,11 @@ func TestObjectiveString(t *testing.T) {
 
 func TestOptimizeXiCustomRhoValidation(t *testing.T) {
 	prof := sharedProfile(t)
-	_, err := OptimizeXi(prof, 0.5, Config{Objective: CustomRho, Rho: []float64{1}})
+	_, _, err := OptimizeXi(context.Background(), prof, 0.5, Config{Objective: CustomRho, Rho: []float64{1}})
 	if err == nil && prof.NumLayers() != 1 {
 		t.Fatal("no error on custom ρ length mismatch")
 	}
-	if _, err := OptimizeXi(prof, 0.5, Config{Objective: Objective(99)}); err == nil {
+	if _, _, err := OptimizeXi(context.Background(), prof, 0.5, Config{Objective: Objective(99)}); err == nil {
 		t.Fatal("no error on unknown objective")
 	}
 }
@@ -205,7 +205,7 @@ func TestOptimizedBeatsUniformAtSameSigma(t *testing.T) {
 	prof := sharedProfile(t)
 	_ = net
 	sigma := 0.8
-	xiOpt, err := OptimizeXi(prof, sigma, Config{Objective: MinimizeInputBits})
+	xiOpt, _, err := OptimizeXi(context.Background(), prof, sigma, Config{Objective: MinimizeInputBits})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func MethodVsSearch(ctx context.Context, a zoo.Arch, relDrop float64, o Opts) (*
 	if err != nil {
 		return nil, err
 	}
-	xi, _, err := core.OptimizeXiContext(ctx, prof, sr.SigmaYL, core.Config{Objective: core.MinimizeInputBits})
+	xi, _, err := core.OptimizeXi(ctx, prof, sr.SigmaYL, core.Config{Objective: core.MinimizeInputBits})
 	if err != nil {
 		return nil, err
 	}

@@ -322,13 +322,13 @@ func Allocate(prof *Profile, sigmaYL float64, deltaFloor float64) (*Allocation, 
 	if err != nil {
 		return nil, err
 	}
-	xi, _, err := optimize.SolveNewtonKKT(obj, optimize.Options{})
+	xi, _, err := optimize.Solve(context.Background(), obj)
 	if err != nil {
 		return nil, err
 	}
 	floor := deltaFloor
 	if floor <= 0 {
-		floor = 1.0 / (1 << 20)
+		floor = optimize.DefaultDeltaFloor
 	}
 	a := &Allocation{NetName: prof.NetName, SigmaYL: sigmaYL}
 	for i := range prof.Groups {

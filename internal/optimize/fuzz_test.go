@@ -1,6 +1,7 @@
 package optimize_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,13 +67,14 @@ func (p *fuzzProblem) Value(xi []float64) float64 {
 	}
 	return s
 }
-func (p *fuzzProblem) Deriv(k int, x float64) (float64, float64) {
-	return 2 * p.w[k] * (x - p.c[k]), 2 * p.w[k]
+func (p *fuzzProblem) XiAt(k int, mu float64) float64 {
+	return math.Max(p.lb[k], p.c[k]-mu/(2*p.w[k]))
 }
 
-// FuzzSolveNewtonKKT solves fuzz-generated strictly convex problems
-// with both solvers and checks the Eq. 6 contract: any returned point
-// lies on the simplex to 1e-12 and respects the lower bounds.
+// FuzzSolveNewtonKKT (the name CI's fuzz step runs) solves
+// fuzz-generated strictly convex problems with Solve and checks the
+// Eq. 6 contract (Σξ = 1 to 1e-12, ξ_K ≥ lb_K), the first-order
+// oracle, and for n ≤ 3 agreement with the brute-force grid.
 func FuzzSolveNewtonKKT(f *testing.F) {
 	f.Add(4, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add(1, []byte{200})
@@ -94,19 +96,23 @@ func FuzzSolveNewtonKKT(f *testing.F) {
 			c:  f64s(append([]byte{1}, data...), n, 0, 2/float64(n)),
 			lb: f64s(append([]byte{2}, data...), n, 0, 0.5/float64(n)),
 		}
-		xi, _, err := optimize.SolveNewtonKKT(p, optimize.Options{})
-		if err == nil {
-			if cerr := refcheck.CheckSimplex(xi, p.LowerBound); cerr != nil {
-				t.Fatalf("KKT n=%d: %v", n, cerr)
-			}
-			if v := p.Value(xi); v != v || math.IsInf(v, 0) {
-				t.Fatalf("KKT n=%d: non-finite objective %g", n, v)
-			}
+		xi, _, err := optimize.Solve(context.Background(), p)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		xi, _, err = optimize.SolveProjectedGradient(p, optimize.Options{MaxIter: 50})
-		if err == nil {
-			if cerr := refcheck.CheckSimplex(xi, p.LowerBound); cerr != nil {
-				t.Fatalf("PG n=%d: %v", n, cerr)
+		if cerr := refcheck.CheckSimplex(xi, p.LowerBound); cerr != nil {
+			t.Fatalf("n=%d: %v", n, cerr)
+		}
+		v := p.Value(xi)
+		if v != v || math.IsInf(v, 0) {
+			t.Fatalf("n=%d: non-finite objective %g", n, v)
+		}
+		if cerr := refcheck.CheckNoDescentMove(p, xi, 1e-7); cerr != nil {
+			t.Fatalf("n=%d: %v", n, cerr)
+		}
+		if n <= 3 {
+			if cerr := refcheck.CheckSolverBeatsGrid(p, xi, 60, refcheck.ValueTol*math.Abs(v)); cerr != nil {
+				t.Fatalf("n=%d: %v", n, cerr)
 			}
 		}
 	})

@@ -6,16 +6,10 @@ import (
 	"mupod/internal/obs"
 )
 
-const (
-	solverNewtonKKT         = "newton_kkt"
-	solverProjectedGradient = "projected_gradient"
-)
-
-// solverMetrics exports the iteration counts already tracked in Stats
-// as process counters, labelled by solver.
+// solverMetrics exports the step counts already tracked in Stats as
+// process counters.
 type solverMetrics struct {
-	iters  map[string]*obs.Counter
-	solves map[string]*obs.Counter
+	iters, solves *obs.Counter
 }
 
 var solverMetricsPtr atomic.Pointer[solverMetrics]
@@ -24,26 +18,21 @@ var solverMetricsPtr atomic.Pointer[solverMetrics]
 // process-wide active set (last call wins). Like the exec hooks, the
 // disabled cost is one atomic load and a branch per solve.
 func EnableMetrics(r *obs.Registry) {
-	m := &solverMetrics{
-		iters:  make(map[string]*obs.Counter, 2),
-		solves: make(map[string]*obs.Counter, 2),
-	}
-	for _, solver := range []string{solverNewtonKKT, solverProjectedGradient} {
-		m.iters[solver] = r.Counter("mupod_solver_iterations_total", "ξ-solver iterations executed, by solver.", "solver", solver)
-		m.solves[solver] = r.Counter("mupod_solver_solves_total", "ξ-solve invocations, by solver.", "solver", solver)
-	}
-	solverMetricsPtr.Store(m)
+	solverMetricsPtr.Store(&solverMetrics{
+		iters:  r.Counter("mupod_solver_iterations_total", "ξ-solver bisection steps executed."),
+		solves: r.Counter("mupod_solver_solves_total", "ξ-solve invocations."),
+	})
 }
 
 // DisableMetrics detaches the active counter set.
 func DisableMetrics() { solverMetricsPtr.Store(nil) }
 
 // countSolve publishes one finished solve's stats.
-func countSolve(solver string, st *Stats) {
+func countSolve(st *Stats) {
 	m := solverMetricsPtr.Load()
 	if m == nil {
 		return
 	}
-	m.iters[solver].Add(uint64(st.Iterations))
-	m.solves[solver].Inc()
+	m.iters.Add(uint64(st.Iterations))
+	m.solves.Inc()
 }

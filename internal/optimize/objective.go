@@ -10,6 +10,10 @@ import (
 // ln2 converts natural logs to bits.
 var ln2 = math.Log(2)
 
+// DefaultDeltaFloor is the smallest Δ any source may reach when a
+// caller passes no floor of its own: 2^-20, a 19-bit fraction.
+const DefaultDeltaFloor = 0x1p-20
+
 // BitObjective is Eq. 8 of the paper: F(ξ) = Σ ρ_K·(−log2 Δ_K(ξ_K))
 // with Δ_K(ξ) = λ_K·σ_YŁ·√ξ + θ_K. Build one with NewBitObjective.
 type BitObjective struct {
@@ -26,7 +30,7 @@ type BitObjective struct {
 // deltaFloor sets the smallest Δ any layer is allowed to reach (> 0);
 // the per-coordinate lower bound lb_K is derived from it, which both
 // keeps Δ_K positive when θ_K < 0 and caps the finest representable
-// fraction width. Pass 0 for the default 2^-20.
+// fraction width. Pass 0 for DefaultDeltaFloor.
 func NewBitObjective(prof *profile.Profile, sigmaYL float64, rho []float64, deltaFloor float64) (*BitObjective, error) {
 	n := prof.NumLayers()
 	if len(rho) != n {
@@ -36,7 +40,7 @@ func NewBitObjective(prof *profile.Profile, sigmaYL float64, rho []float64, delt
 		return nil, fmt.Errorf("optimize: σ_YŁ must be positive, got %g", sigmaYL)
 	}
 	if deltaFloor <= 0 {
-		deltaFloor = math.Exp2(-20)
+		deltaFloor = DefaultDeltaFloor
 	}
 	o := &BitObjective{
 		Rho:     append([]float64(nil), rho...),
@@ -89,23 +93,33 @@ func (o *BitObjective) Value(xi []float64) float64 {
 	return total
 }
 
-// Deriv implements Problem.
-func (o *BitObjective) Deriv(k int, xik float64) (grad, hess float64) {
-	a := o.A[k]
-	sq := math.Sqrt(xik)
-	d := a*sq + o.Theta[k]
-	if d < o.deltaLo {
-		d = o.deltaLo
+// XiAt implements Problem. With s = √ξ, a = λσ and c = ρ/ln 2, the
+// condition F_K'(ξ) + μ = 0 is 2μa·s² + 2μθ·s − c·a = 0. Its positive
+// root is written in the form that does not cancel for the sign of θ,
+// and ξ = s² is clamped at lb_K. F_K is non-increasing, so μ ≤ 0 has no
+// finite minimizer, and a source with ρ_K = 0 sits on its bound.
+func (o *BitObjective) XiAt(k int, mu float64) float64 {
+	if mu <= 0 {
+		return math.Inf(1)
 	}
-	c := o.Rho[k] / ln2
-	grad = -c * a / (2 * sq * d)
-	hess = c * (a/(4*sq*sq*sq*d) + a*a/(4*sq*sq*d*d))
-	return grad, hess
+	a, theta := o.A[k], o.Theta[k]
+	ca := o.Rho[k] / ln2 * a
+	if ca == 0 {
+		return o.lb[k]
+	}
+	root := math.Sqrt(mu*mu*theta*theta + 2*mu*a*ca)
+	var s float64
+	if theta >= 0 {
+		s = ca / (mu*theta + root)
+	} else {
+		s = (root - mu*theta) / (2 * mu * a)
+	}
+	return math.Max(s*s, o.lb[k])
 }
 
 // ClosedFormXi returns the analytic optimum for the θ=0 special case:
 // with Δ_K = a_K√ξ_K the Lagrange condition gives ξ_K ∝ ρ_K. It is the
-// reference the solvers are tested against and a useful fast path.
+// reference the solver is tested against.
 func ClosedFormXi(rho []float64) []float64 {
 	total := 0.0
 	for _, r := range rho {

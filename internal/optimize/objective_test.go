@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,33 +35,49 @@ func TestNewBitObjectiveValidation(t *testing.T) {
 	}
 }
 
+// TestBitObjectiveGradientNumerically checks XiAt against the
+// objective itself: at an interior ξ_K = XiAt(k, μ) the finite-difference
+// slope of Value along coordinate k is −μ, for either sign of θ.
 func TestBitObjectiveGradientNumerically(t *testing.T) {
 	p := fakeProfile([]float64{2, 0.5, 1}, []float64{0.01, -0.002, 0})
 	o, err := NewBitObjective(p, 0.7, []float64{3, 1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi := []float64{0.5, 0.2, 0.3}
 	const eps = 1e-7
-	for k := range xi {
-		g, h := o.Deriv(k, xi[k])
-		up := append([]float64(nil), xi...)
-		up[k] += eps
-		dn := append([]float64(nil), xi...)
-		dn[k] -= eps
-		numG := (o.Value(up) - o.Value(dn)) / (2 * eps)
-		if math.Abs(g-numG) > 1e-4*math.Max(1, math.Abs(numG)) {
-			t.Fatalf("grad[%d] = %v, numerical %v", k, g, numG)
+	for _, mu := range []float64{0.5, 3, 20} {
+		xi := []float64{0.3, 0.3, 0.3}
+		for k := range xi {
+			xi[k] = o.XiAt(k, mu)
+			if xi[k] <= o.LowerBound(k) {
+				t.Fatalf("μ=%g: ξ[%d] = %v on its bound %v", mu, k, xi[k], o.LowerBound(k))
+			}
+			up := append([]float64(nil), xi...)
+			up[k] += eps
+			dn := append([]float64(nil), xi...)
+			dn[k] -= eps
+			slope := (o.Value(up) - o.Value(dn)) / (2 * eps)
+			if math.Abs(slope+mu) > 1e-5*mu {
+				t.Fatalf("μ=%g: slope at ξ[%d] = %v is %v, want %v", mu, k, xi[k], slope, -mu)
+			}
 		}
-		gu, _ := o.Deriv(k, xi[k]+eps)
-		gd, _ := o.Deriv(k, xi[k]-eps)
-		numH := (gu - gd) / (2 * eps)
-		if math.Abs(h-numH) > 1e-3*math.Max(1, math.Abs(numH)) {
-			t.Fatalf("hess[%d] = %v, numerical %v", k, h, numH)
+	}
+	// Non-increasing in μ, +Inf where no finite ξ minimizes, and a
+	// zero-ρ source on its bound.
+	for k := 0; k < 3; k++ {
+		if a, b := o.XiAt(k, 1), o.XiAt(k, 2); a < b {
+			t.Fatalf("XiAt(%d) increases with μ: %v → %v", k, a, b)
 		}
-		if h <= 0 {
-			t.Fatalf("hessian not positive at %d: %v", k, h)
+		if x := o.XiAt(k, 0); !math.IsInf(x, 1) {
+			t.Fatalf("XiAt(%d, 0) = %v, want +Inf", k, x)
 		}
+	}
+	z, err := NewBitObjective(p, 0.7, []float64{0, 1, 0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x := z.XiAt(0, 5); x != z.LowerBound(0) {
+		t.Fatalf("zero-ρ source at %v, want its bound %v", x, z.LowerBound(0))
 	}
 }
 
@@ -74,16 +91,13 @@ func TestSolverMatchesClosedFormWhenThetaZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi, st, err := SolveNewtonKKT(o, Options{})
+	xi, _, err := Solve(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Converged {
-		t.Fatalf("did not converge: %+v", st)
-	}
 	want := ClosedFormXi(rho)
 	for k := range xi {
-		if math.Abs(xi[k]-want[k]) > 1e-4 {
+		if math.Abs(xi[k]-want[k]) > 1e-12 {
 			t.Fatalf("ξ = %v, closed form %v", xi, want)
 		}
 	}
@@ -95,7 +109,7 @@ func TestSolverHandlesNegativeTheta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi, _, err := SolveNewtonKKT(o, Options{})
+	xi, _, err := Solve(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +132,7 @@ func TestHigherRhoGetsHigherXi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi, _, err := SolveNewtonKKT(o, Options{})
+	xi, _, err := Solve(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +152,41 @@ func TestOptimizedBeatsEqualScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi, _, err := SolveNewtonKKT(o, Options{})
+	xi, _, err := Solve(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	equal := []float64{0.2, 0.2, 0.2, 0.2, 0.2}
 	if o.Value(xi) > o.Value(equal)+1e-9 {
 		t.Fatalf("optimizer (%v) worse than equal scheme (%v)", o.Value(xi), o.Value(equal))
+	}
+}
+
+// An all-zero ρ (a custom objective a client may submit) makes every
+// feasible ξ optimal; Solve returns lb plus an equal share of the rest,
+// with every source's Δ above the floor.
+func TestSolveAllZeroRho(t *testing.T) {
+	p := fakeProfile([]float64{1, 0.5, 2}, []float64{-0.3, 0.01, 0})
+	o, err := NewBitObjective(p, 0.5, []float64{0, 0, 0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xi, _, err := Solve(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbSum := 0.0
+	for k := range xi {
+		lbSum += o.LowerBound(k)
+	}
+	share := (1 - lbSum) / 3
+	for k := range xi {
+		if want := o.LowerBound(k) + share; math.Abs(xi[k]-want) > 1e-15 {
+			t.Fatalf("ξ = %v, want lb + %v each", xi, share)
+		}
+	}
+	if math.Abs(sum(xi)-1) > 1e-15 {
+		t.Fatalf("Σξ = %v", sum(xi))
 	}
 }
 

@@ -5,13 +5,12 @@
 //	min F(ξ) = Σ_K ρ_K·(−log2 Δ_K(ξ_K)),  Δ_K = λ_K·σ_YŁ·√ξ_K + θ_K
 //	s.t. Σ_K ξ_K = 1,  ξ_K ≥ lb_K
 //
-// The paper hands this to Octave's sqp; offline we implement the
-// equivalent: F is separable and convex in ξ (−log of a concave
-// positive function), so a diagonal-Hessian Newton step with the
-// equality constraint handled through its KKT multiplier converges in
-// a handful of iterations. A projected-gradient method with
-// backtracking is provided both as a fallback and as an ablation
-// (bench: solver choice).
+// The paper hands this to Octave's sqp. F is separable and convex in ξ
+// (−log of a concave positive function), so the problem is solved
+// exactly through the multiplier μ of Σξ_K = 1: for a given μ every
+// coordinate's minimizer of F_K(ξ) + μ·ξ has a closed form
+// (Problem.XiAt), Σ_K ξ_K(μ) is non-increasing in μ, and Solve bisects
+// μ until the two ends of its bracket are adjacent floats.
 package optimize
 
 import (
@@ -19,16 +18,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"mupod/internal/obs"
 )
 
-// Problem is a separable objective over the simplex.
+// Problem is a separable objective over the lower-bounded simplex.
 type Problem interface {
 	// Value returns F(ξ).
 	Value(xi []float64) float64
-	// Deriv returns dF/dξ_K and d²F/dξ_K² for one coordinate.
-	Deriv(k int, xik float64) (grad, hess float64)
+	// XiAt returns the ξ ≥ lb_K minimizing F_K(ξ) + μ·ξ for one
+	// coordinate (+Inf when no finite ξ does). It must be non-increasing
+	// in μ.
+	XiAt(k int, mu float64) float64
 	// Dim returns the number of coordinates.
 	Dim() int
 	// LowerBound returns the per-coordinate feasibility bound lb_K
@@ -36,26 +35,11 @@ type Problem interface {
 	LowerBound(k int) float64
 }
 
-// Options tunes the solvers.
-type Options struct {
-	MaxIter int     // default 200
-	Tol     float64 // step-size convergence tolerance (default 1e-10)
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-10
-	}
-	return o
-}
-
 // Stats reports solver behaviour for logging and tests.
 type Stats struct {
+	// Iterations counts the evaluations of Σ_K ξ_K(μ): the bracket's
+	// doublings, the bisection steps and the final evaluation.
 	Iterations int
-	Converged  bool
 	Value      float64
 }
 
@@ -63,149 +47,84 @@ type Stats struct {
 // above 1 and no feasible ξ exists.
 var ErrInfeasible = errors.New("optimize: lower bounds exceed the simplex")
 
-func feasibleStart(p Problem) ([]float64, error) {
-	n := p.Dim()
-	lb := make([]float64, n)
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		lb[k] = p.LowerBound(k)
-		sum += lb[k]
-	}
-	if sum >= 1 {
-		return nil, fmt.Errorf("%w: Σlb=%.4g", ErrInfeasible, sum)
-	}
-	// Start at lb plus an equal share of the remaining mass.
-	xi := make([]float64, n)
-	share := (1 - sum) / float64(n)
-	for k := 0; k < n; k++ {
-		xi[k] = lb[k] + share
-	}
-	normalizeExact(xi, p.LowerBound)
-	return xi, nil
-}
-
-// SolveNewtonKKT minimizes p over the simplex using diagonal-Hessian
-// Newton steps. Each iteration solves the equality-constrained QP
+// Solve minimizes p over the lower-bounded simplex. The mass
+// M(μ) = Σ_K ξ_K(μ) is non-increasing in the multiplier μ, so Solve
+// brackets the μ with M(μ) = 1 by doubling away from 0, bisects the
+// bracket until its ends are adjacent floats, and returns ξ(μ) at the
+// end whose mass is ≤ 1. Every step halves a float interval, so the
+// loop is bounded by the exponent range (about 2,100 steps); a
+// pipeline solve takes about 60.
 //
-//	min ½ Σ h_K d_K² + Σ g_K d_K   s.t. Σ d_K = 0
-//
-// whose KKT solution is d_K = −(g_K + μ)/h_K with
-// μ = −Σ(g_K/h_K)/Σ(1/h_K), then backtracks along d until the bounded
-// step decreases F. Coordinates pinned at their lower bound with
-// inward-pointing multipliers are released naturally because the step
-// is recomputed every iteration over all coordinates.
-func SolveNewtonKKT(p Problem, opts Options) ([]float64, Stats, error) {
-	return SolveNewtonKKTContext(context.Background(), p, opts)
-}
-
-// SolveNewtonKKTContext is SolveNewtonKKT with telemetry: a
-// "solve.kkt_iter" span per Newton iteration when ctx carries an obs
-// tracer, and iteration/solve counters when solver metrics are enabled.
-func SolveNewtonKKTContext(ctx context.Context, p Problem, opts Options) ([]float64, Stats, error) {
-	opts = opts.withDefaults()
-	xi, err := feasibleStart(p)
-	if err != nil {
-		return nil, Stats{}, err
+// ξ(μ) is exact for its μ, so the mass it leaves is rounding; it goes
+// to every coordinate in equal shares, and normalizeExact folds the
+// last ulps in. The one exception is a flat objective (every ρ_K = 0):
+// M jumps from Σlb to +∞ at μ = 0, every feasible ξ is optimal, and the
+// equal shares return lb plus an equal share of the rest.
+func Solve(ctx context.Context, p Problem) ([]float64, Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, Stats{}, fmt.Errorf("optimize: %w", err)
 	}
 	n := p.Dim()
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-	cand := make([]float64, n)
-	val := p.Value(xi)
+	lbSum := 0.0
+	for k := 0; k < n; k++ {
+		lbSum += p.LowerBound(k)
+	}
+	if lbSum >= 1 {
+		return nil, Stats{}, fmt.Errorf("%w: Σlb=%.4g", ErrInfeasible, lbSum)
+	}
 	var st Stats
-	defer func() { countSolve(solverNewtonKKT, &st) }()
-	traced := obs.Enabled(ctx)
-	for it := 0; it < opts.MaxIter; it++ {
-		st.Iterations = it + 1
-		var isp *obs.Span
-		if traced {
-			_, isp = obs.Start(ctx, "solve.kkt_iter", obs.KV("iter", it))
+	defer countSolve(&st)
+	xi := make([]float64, n)
+	mass := func(mu float64) float64 {
+		st.Iterations++
+		m := 0.0
+		for k := range xi {
+			xi[k] = p.XiAt(k, mu)
+			m += xi[k]
 		}
-		var sumInvH, sumGoverH float64
-		for k := 0; k < n; k++ {
-			g, h := p.Deriv(k, xi[k])
-			if h < 1e-12 {
-				h = 1e-12
-			}
-			grad[k], hess[k] = g, h
-			sumInvH += 1 / h
-			sumGoverH += g / h
+		return m
+	}
+	// lo keeps M(lo) > 1 and hi keeps M(hi) ≤ 1.
+	var lo, hi float64
+	if mass(0) > 1 {
+		hi = 1
+		for !math.IsInf(hi, 1) && mass(hi) > 1 {
+			lo, hi = hi, 2*hi
 		}
-		mu := -sumGoverH / sumInvH
-		// Backtracking on the Newton direction, with bound clipping and
-		// mass renormalization folded into the candidate construction.
-		step := 1.0
-		improved := false
-		var norm float64
-		for bt := 0; bt < 30; bt++ {
-			norm = 0
-			for k := 0; k < n; k++ {
-				d := -step * (grad[k] + mu) / hess[k]
-				c := xi[k] + d
-				if lb := p.LowerBound(k); c < lb {
-					c = lb
-				}
-				cand[k] = c
-			}
-			renormalize(p, cand)
-			for k := 0; k < n; k++ {
-				dd := cand[k] - xi[k]
-				norm += dd * dd
-			}
-			if cv := p.Value(cand); cv < val {
-				copy(xi, cand)
-				val = cv
-				improved = true
-				break
-			}
-			step /= 2
+	} else {
+		lo = -1
+		for !math.IsInf(lo, -1) && mass(lo) <= 1 {
+			hi, lo = lo, 2*lo
 		}
-		isp.SetAttr("value", val)
-		isp.End()
-		if !improved || math.Sqrt(norm) < opts.Tol {
-			st.Converged = true
+	}
+	if math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return nil, st, errors.New("optimize: no multiplier brings Σξ to 1")
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
 			break
 		}
+		if mass(mid) > 1 {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	st.Value = val
+	share := (1 - mass(hi)) / float64(n)
+	for k := range xi {
+		xi[k] += share
+	}
+	normalizeExact(xi, p.LowerBound)
+	st.Value = p.Value(xi)
 	return xi, st, nil
 }
 
-// renormalize rescales the free mass (above the lower bounds) so the
-// coordinates sum to 1 again after clipping, then snaps the residual
-// rounding drift away so the Eq. 6 budget constraint Σξ_K = 1 holds to
-// a few ulps (well inside the documented 1e-12) at any depth.
-func renormalize(p Problem, xi []float64) {
-	var lbSum, free float64
-	n := len(xi)
-	for k := 0; k < n; k++ {
-		lb := p.LowerBound(k)
-		lbSum += lb
-		free += xi[k] - lb
-	}
-	if free <= 0 {
-		// Degenerate: distribute the remaining mass equally.
-		rem := (1 - lbSum) / float64(n)
-		for k := 0; k < n; k++ {
-			xi[k] = p.LowerBound(k) + rem
-		}
-	} else {
-		scale := (1 - lbSum) / free
-		for k := 0; k < n; k++ {
-			lb := p.LowerBound(k)
-			xi[k] = lb + (xi[k]-lb)*scale
-		}
-	}
-	normalizeExact(xi, p.LowerBound)
-}
-
-// normalizeExact removes the O(n·ulp) drift plain rescaling leaves in
+// normalizeExact removes the O(n·ulp) drift plain summation leaves in
 // Σξ: it measures the residual 1 − Σξ with compensated (Kahan)
 // summation and folds it into the coordinate with the most free mass
-// above its bound. Without this, the per-iteration renormalization of
-// the solvers drifts linearly with depth (past 1e-15 at a few hundred
-// layers), and the refcheck invariant Σξ_K = 1 within 1e-12 would
-// eventually fail on deep-enough networks.
+// above its bound, so the refcheck invariant Σξ_K = 1 within 1e-12
+// holds at any depth.
 func normalizeExact(xi []float64, lbOf func(int) float64) {
 	var s, comp float64
 	for _, x := range xi {
@@ -229,75 +148,6 @@ func normalizeExact(xi []float64, lbOf func(int) float64) {
 		}
 	}
 	xi[j] += r
-}
-
-// SolveProjectedGradient minimizes p over the simplex by projected
-// gradient descent with backtracking line search.
-func SolveProjectedGradient(p Problem, opts Options) ([]float64, Stats, error) {
-	return SolveProjectedGradientContext(context.Background(), p, opts)
-}
-
-// SolveProjectedGradientContext is SolveProjectedGradient with
-// telemetry: a "solve.pg_iter" span per iteration when ctx carries an
-// obs tracer, and iteration/solve counters when solver metrics are
-// enabled.
-func SolveProjectedGradientContext(ctx context.Context, p Problem, opts Options) ([]float64, Stats, error) {
-	opts = opts.withDefaults()
-	xi, err := feasibleStart(p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	n := p.Dim()
-	lb := make([]float64, n)
-	for k := 0; k < n; k++ {
-		lb[k] = p.LowerBound(k)
-	}
-	grad := make([]float64, n)
-	cand := make([]float64, n)
-	val := p.Value(xi)
-	step := 1.0
-	var st Stats
-	defer func() { countSolve(solverProjectedGradient, &st) }()
-	traced := obs.Enabled(ctx)
-	for it := 0; it < opts.MaxIter; it++ {
-		st.Iterations = it + 1
-		var isp *obs.Span
-		if traced {
-			_, isp = obs.Start(ctx, "solve.pg_iter", obs.KV("iter", it))
-		}
-		for k := 0; k < n; k++ {
-			grad[k], _ = p.Deriv(k, xi[k])
-		}
-		improved := false
-		var norm float64
-		for bt := 0; bt < 40; bt++ {
-			for k := 0; k < n; k++ {
-				cand[k] = xi[k] - step*grad[k]
-			}
-			ProjectSimplexLB(cand, lb)
-			norm = 0
-			for k := 0; k < n; k++ {
-				d := cand[k] - xi[k]
-				norm += d * d
-			}
-			if cv := p.Value(cand); cv < val {
-				copy(xi, cand)
-				val = cv
-				improved = true
-				step *= 1.5 // recover step size after successes
-				break
-			}
-			step /= 2
-		}
-		isp.SetAttr("value", val)
-		isp.End()
-		if !improved || math.Sqrt(norm) < opts.Tol {
-			st.Converged = true
-			break
-		}
-	}
-	st.Value = val
-	return xi, st, nil
 }
 
 // ProjectSimplexLB projects v in place onto {x : Σx = 1, x_K ≥ lb_K}

@@ -111,7 +111,7 @@ func SweepContext(ctx context.Context, prof *profile.Profile, sigmaYL float64, c
 		for k := 0; k < L; k++ {
 			rho[k] = (1-alpha)*inputRho[k]/inSum + alpha*macRho[k]/macSum
 		}
-		xi, _, err := core.OptimizeXiContext(ctx, prof, sigmaYL, core.Config{
+		xi, _, err := core.OptimizeXi(ctx, prof, sigmaYL, core.Config{
 			Objective: core.CustomRho, Rho: rho, DeltaFloor: cfg.DeltaFloor,
 		})
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 // point of the regular simplex grid {ξ : ξ_K = c_K/steps, Σc_K = steps}
 // that satisfies the per-coordinate lower bounds and returns the best
 // feasible point and its objective value. Exponential in Dim — intended
-// as the oracle for the SQP-style solvers on networks with a handful of
+// as the oracle for the exact solver on networks with a handful of
 // analyzable layers. Returns an error when no grid point is feasible
 // (lower bounds too tight for the resolution).
 func GridSolve(p optimize.Problem, steps int) ([]float64, float64, error) {
@@ -58,8 +58,8 @@ func GridSolve(p optimize.Problem, steps int) ([]float64, float64, error) {
 
 // CheckSolverBeatsGrid verifies a solver solution against the
 // brute-force oracle: for a convex Eq. 8 objective the solver's value
-// must be at least as good as the best grid point, up to slack for the
-// solver's convergence tolerance.
+// must be at least as good as the best grid point, up to slack for
+// rounding (ValueTol·|value| for an exact solver).
 func CheckSolverBeatsGrid(p optimize.Problem, xi []float64, steps int, slack float64) error {
 	gridXi, gridVal, err := GridSolve(p, steps)
 	if err != nil {
@@ -68,6 +68,58 @@ func CheckSolverBeatsGrid(p optimize.Problem, xi []float64, steps int, slack flo
 	val := p.Value(xi)
 	if val > gridVal+slack {
 		return fmt.Errorf("solver value %.9g worse than grid oracle %.9g at ξ=%v", val, gridVal, gridXi)
+	}
+	return nil
+}
+
+// ValueTol is the relative rounding allowance on an Eq. 8 objective
+// value: an exact solution may lose to another point by no more than
+// ValueTol·|value|. |value| bounds the rounding only while the terms
+// ρ_K·(−log2 Δ_K) do not cancel, that is while every Δ_K < 1.
+const ValueTol = 1e-12
+
+// CheckNoDescentMove is a derivative-free first-order optimality check
+// for Eq. 8 that works at any dimension and shares no code with the
+// solver: moving eps of free mass from any source to any other must
+// not lower p.Value by more than ValueTol·|value|. The objective is
+// separable, so a move's change is the donor's change plus the
+// receiver's: the check measures each with one Value call per source
+// and side, then evaluates the move with the lowest sum. Only sources
+// with at least eps of free mass above their bound donate.
+func CheckNoDescentMove(p optimize.Problem, xi []float64, eps float64) error {
+	v := p.Value(xi)
+	x := append([]float64(nil), xi...)
+	change := func(k int, d float64) float64 {
+		x[k] += d
+		c := p.Value(x) - v
+		x[k] = xi[k]
+		return c
+	}
+	give := make([]float64, len(xi))
+	take := make([]float64, len(xi))
+	for k := range xi {
+		give[k] = math.Inf(1)
+		if xi[k]-eps >= p.LowerBound(k) {
+			give[k] = change(k, -eps)
+		}
+		take[k] = change(k, eps)
+	}
+	from, to, best := -1, -1, math.Inf(1)
+	for j := range give {
+		for k := range take {
+			if j != k && give[j]+take[k] < best {
+				from, to, best = j, k, give[j]+take[k]
+			}
+		}
+	}
+	if from < 0 {
+		return nil // no source can give eps to another
+	}
+	x[from] -= eps
+	x[to] += eps
+	if moved := p.Value(x); moved < v-ValueTol*math.Abs(v) {
+		return fmt.Errorf("moving %g of ξ from source %d to %d lowers the value from %.17g to %.17g (relative %.3g)",
+			eps, from, to, v, moved, (moved-v)/math.Abs(v))
 	}
 	return nil
 }

@@ -153,9 +153,9 @@ func TestCheckSimplexCatchesViolations(t *testing.T) {
 	}
 }
 
-// GridSolve must agree with the closed-form θ=0 optimum ξ_K ∝ ρ_K on a
-// problem whose optimum lies on the grid, and the KKT solver must beat
-// the oracle on an off-grid one.
+// GridSolve must find the optimum of a problem whose optimum lies on the
+// grid, Solve must match it to rounding, and both oracles must reject a
+// clearly suboptimal point.
 func TestGridSolveAgainstClosedForm(t *testing.T) {
 	p := &quadProblem{w: []float64{1, 1, 1}, c: []float64{0.2, 0.3, 0.5}}
 	xi, val, err := GridSolve(p, 10)
@@ -168,16 +168,23 @@ func TestGridSolveAgainstClosedForm(t *testing.T) {
 			t.Fatalf("grid optimum %v (value %g), want %v", xi, val, want)
 		}
 	}
-	kkt, _, err := optimize.SolveNewtonKKT(p, optimize.Options{})
+	sol, _, err := optimize.Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckSolverBeatsGrid(p, kkt, 10, 1e-9); err != nil {
+	if err := CheckSolverBeatsGrid(p, sol, 10, 1e-9); err != nil {
 		t.Fatal(err)
 	}
-	// A deliberately bad point must fail the oracle check.
-	if err := CheckSolverBeatsGrid(p, []float64{1, 0, 0}, 10, 1e-9); err == nil {
+	if err := CheckNoDescentMove(p, sol, 1e-7); err != nil {
+		t.Fatal(err)
+	}
+	// A deliberately bad point must fail both oracle checks.
+	bad := []float64{1, 0, 0}
+	if err := CheckSolverBeatsGrid(p, bad, 10, 1e-9); err == nil {
 		t.Fatal("grid oracle accepted a clearly suboptimal point")
+	}
+	if err := CheckNoDescentMove(p, bad, 1e-7); err == nil {
+		t.Fatal("first-order oracle accepted a clearly suboptimal point")
 	}
 }
 
@@ -233,6 +240,6 @@ func (q *quadProblem) Value(xi []float64) float64 {
 	}
 	return s
 }
-func (q *quadProblem) Deriv(k int, x float64) (float64, float64) {
-	return 2 * q.w[k] * (x - q.c[k]), 2 * q.w[k]
+func (q *quadProblem) XiAt(k int, mu float64) float64 {
+	return math.Max(q.lb, q.c[k]-mu/(2*q.w[k]))
 }

@@ -221,8 +221,8 @@ func (s *runState) checkKernelBackends(f testnet.Fixture) {
 
 // checkPipeline profiles, searches and solves one fixture, verifying
 // the Eq. 5 fit, the format derivation, the search bracketing, the
-// Eq. 6 simplex budget, and — when the layer count permits — the
-// brute-force Eq. 8 oracle.
+// Eq. 6 simplex budget, the first-order Eq. 8 oracle and — when the
+// layer count permits — the brute-force Eq. 8 oracle.
 func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 	prof, err := profile.RunContext(ctx, f.Net, f.Test, profile.Config{
 		Images: 16, Points: 8, Seed: 11, Workers: s.opts.Workers, Kernel: s.opts.Kernel,
@@ -269,14 +269,15 @@ func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 		s.add(f.Name, "allocation solve", err)
 		return
 	}
-	xi, _, err := optimize.SolveNewtonKKT(obj, optimize.Options{})
+	xi, st, err := optimize.Solve(ctx, obj)
 	s.add(f.Name, "allocation solve", err)
 	if err != nil {
 		return
 	}
 	s.add(f.Name, "eq6 simplex budget", CheckSimplex(xi, obj.LowerBound))
+	s.add(f.Name, "eq8 first-order oracle", CheckNoDescentMove(obj, xi, oracleEps))
 	if obj.Dim() <= 4 {
-		s.add(f.Name, "eq8 grid oracle", CheckSolverBeatsGrid(obj, xi, s.opts.GridSteps, 1e-6))
+		s.add(f.Name, "eq8 grid oracle", CheckSolverBeatsGrid(obj, xi, s.opts.GridSteps, ValueTol*math.Abs(st.Value)))
 	}
 
 	s.checkPareto(ctx, f, prof, res.SigmaYL)
@@ -292,6 +293,7 @@ func (s *runState) checkPareto(ctx context.Context, f testnet.Fixture, prof *pro
 	if err != nil {
 		return
 	}
+	s.add(f.Name, "eq8 first-order oracle (pareto blends)", checkSweepOptimal(prof, sigmaYL, sweep))
 	s.add(f.Name, "pareto filter differential", CheckParetoFilter(sweep))
 	s.add(f.Name, "pareto hypervolume differential", CheckParetoHypervolume(sweep, pareto.RefPoint(sweep)))
 
@@ -309,6 +311,36 @@ func (s *runState) checkPareto(ctx context.Context, f testnet.Fixture, prof *pro
 	s.add(f.Name, "nsga2 worker determinism", err)
 	s.add(f.Name, "nsga2 front quality", CheckNSGA2Front(r1))
 	s.add(f.Name, "nsga2 hypervolume differential", CheckParetoHypervolume(r1.Front, r1.RefPoint))
+}
+
+// oracleEps is the mass CheckNoDescentMove moves between sources.
+const oracleEps = 1e-7
+
+// checkSweepOptimal runs the first-order oracle on every blend of a
+// Pareto sweep. It rebuilds each blend's ρ from the profile, so a sweep
+// that solved the wrong objective fails too.
+func checkSweepOptimal(prof *profile.Profile, sigmaYL float64, sweep []pareto.Point) error {
+	var inSum, macSum float64
+	for _, lp := range prof.Layers {
+		inSum += float64(lp.Inputs)
+		macSum += float64(lp.MACs)
+	}
+	for _, pt := range sweep {
+		rho := make([]float64, prof.NumLayers())
+		xi := make([]float64, len(rho))
+		for k, lp := range prof.Layers {
+			rho[k] = (1-pt.Alpha)*float64(lp.Inputs)/inSum + pt.Alpha*float64(lp.MACs)/macSum
+			xi[k] = pt.Allocation.Layers[k].Xi
+		}
+		obj, err := optimize.NewBitObjective(prof, sigmaYL, rho, 0)
+		if err == nil {
+			err = CheckNoDescentMove(obj, xi, oracleEps)
+		}
+		if err != nil {
+			return fmt.Errorf("α=%g: %w", pt.Alpha, err)
+		}
+	}
+	return nil
 }
 
 // Run executes the full self-check sweep: global numeric invariants,

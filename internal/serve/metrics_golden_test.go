@@ -160,8 +160,9 @@ func TestMetricsGolden(t *testing.T) {
 		"mupod_exec_arena_allocs_total",
 		"mupod_exec_evaluator_items_total",
 		"mupod_exec_evaluator_busy_seconds_total",
-		`mupod_solver_iterations_total{solver="newton_kkt"}`,
-		`mupod_solver_solves_total{solver="newton_kkt"}`,
+		// One solver, so unlabelled series: the name at a line start.
+		"\nmupod_solver_iterations_total ",
+		"\nmupod_solver_solves_total ",
 		"mupod_job_retries_total 0",
 		"mupod_jobs_shed_total 0",
 		`mupod_jobs_recovered_total{disposition="requeued"} 0`,

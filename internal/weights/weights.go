@@ -25,6 +25,7 @@ import (
 	"mupod/internal/fixedpoint"
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
+	"mupod/internal/optimize"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
 	"mupod/internal/stats"
@@ -245,8 +246,8 @@ type JointConfig struct {
 // JointAllocate splits ONE output-error budget σ_YŁ across 2Ł noise
 // sources — every layer's activations and every layer's weights — by
 // building a 2Ł-dimensional Eq. 8 objective and solving it with the
-// same Newton-KKT simplex solver. It returns the activation allocation
-// and the weight allocation.
+// same exact solver, optimize.Solve. It returns the activation
+// allocation and the weight allocation.
 func JointAllocate(aprof *profile.Profile, wprof *Profile, sigmaYL float64, cfg JointConfig) (*core.Allocation, *Allocation, error) {
 	L := aprof.NumLayers()
 	if wprof.NumLayers() != L {
@@ -289,7 +290,7 @@ func JointAllocate(aprof *profile.Profile, wprof *Profile, sigmaYL float64, cfg 
 		rho = append(rho, weightRho[k])
 	}
 
-	xi, err := core.OptimizeXi(joint, sigmaYL, core.Config{
+	xi, _, err := core.OptimizeXi(context.Background(), joint, sigmaYL, core.Config{
 		Objective: core.CustomRho, Rho: rho, DeltaFloor: cfg.DeltaFloor,
 	})
 	if err != nil {
@@ -306,7 +307,7 @@ func JointAllocate(aprof *profile.Profile, wprof *Profile, sigmaYL float64, cfg 
 	wAlloc := &Allocation{NetName: wprof.NetName, SigmaYL: sigmaYL}
 	floor := cfg.DeltaFloor
 	if floor <= 0 {
-		floor = 1.0 / (1 << 20)
+		floor = optimize.DefaultDeltaFloor
 	}
 	for k := range wprof.Layers {
 		lp := &wprof.Layers[k]

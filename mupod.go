@@ -252,7 +252,8 @@ func SearchSigmaContext(ctx context.Context, net *Network, prof *Profile, ds *Da
 
 // OptimizeXi solves Eq. 8 and returns the optimal error decomposition.
 func OptimizeXi(prof *Profile, sigmaYL float64, cfg Config) ([]float64, error) {
-	return core.OptimizeXi(prof, sigmaYL, cfg)
+	xi, _, err := core.OptimizeXi(context.Background(), prof, sigmaYL, cfg)
+	return xi, err
 }
 
 // AllocationFromXi converts a ξ decomposition into concrete formats.
