@@ -68,12 +68,12 @@ func TestAmplificationIsSound(t *testing.T) {
 	for _, k := range net.AnalyzableNodes() {
 		const delta = 0.05
 		// Adversarial-ish noise: full ±Δ with random signs.
-		out := sess.Replay(acts, k, nil, func(x *tensor.Tensor) {
-			for i := range x.Data {
+		out := sess.Replay(acts, k, nil, func(dst, src *tensor.Tensor) {
+			for i, v := range src.Data {
 				if r.Float64() < 0.5 {
-					x.Data[i] += delta
+					dst.Data[i] = v + delta
 				} else {
-					x.Data[i] -= delta
+					dst.Data[i] = v - delta
 				}
 			}
 		})

@@ -450,10 +450,16 @@ func AllocateContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, 
 	}
 	gctx := ctx
 	var gsp *obs.Span
+	var pool *exec.Pool
 	if cfg.Guard {
 		gctx, gsp = obs.Start(ctx, "guard",
 			obs.KV("shrink", shrink), obs.KV("max_retries", retries))
 		defer gsp.End()
+		// One pool serves every round, so the rounds share one plan and
+		// one set of arena sessions; quantizing injectors are stateless,
+		// so validation parallelizes across eval batches on the kernel
+		// backend the σ search used.
+		pool = exec.NewPool(net, cfg.Search.Workers, cfg.Search.Kernel)
 	}
 	scale := 1.0
 	for attempt := 0; ; attempt++ {
@@ -469,10 +475,8 @@ func AllocateContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, 
 		}
 		rctx, rsp := obs.Start(gctx, "guard.round",
 			obs.KV("attempt", attempt), obs.KV("scale", scale))
-		// Quantizing injectors are stateless, so the guard's real-
-		// quantization validation parallelizes across eval batches — on
-		// the same kernel backend the σ search used.
-		acc, err := exec.Accuracy(rctx, cfg.Search.Workers, cfg.Search.Kernel, net, ds, evalImages, 32, alloc.InjectionPlan())
+		plan := alloc.InjectionPlan()
+		acc, err := pool.Accuracy(rctx, ds, evalImages, 32, func(int) map[int]nn.Injector { return plan }, nil)
 		if err != nil {
 			rsp.End()
 			return nil, 0, 0, fmt.Errorf("core: guard: %w", err)

@@ -12,6 +12,7 @@ import (
 	"mupod/internal/exec"
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
+	"mupod/internal/obs"
 	"mupod/internal/profile"
 	"mupod/internal/refcheck"
 	"mupod/internal/rng"
@@ -151,9 +152,9 @@ func TestSessionReplayMatchesForward(t *testing.T) {
 // bit-identical to the full forward pass with the same perturbation at
 // the same node.
 func TestSessionReplayFixedPerturbationMatchesForward(t *testing.T) {
-	bump := func(t *tensor.Tensor) {
-		for i := range t.Data {
-			t.Data[i] += 0.01 * float64(i%3)
+	bump := func(dst, src *tensor.Tensor) {
+		for i, v := range src.Data {
+			dst.Data[i] = v + 0.01*float64(i%3)
 		}
 	}
 	for name, tc := range replayFixtures() {
@@ -172,7 +173,7 @@ func TestSessionReplayFixedPerturbationMatchesForward(t *testing.T) {
 }
 
 // TestSessionReplayNoopInjection: replaying from any analyzable node
-// with nothing perturbed (a nil injector or one that writes nothing)
+// with nothing perturbed (a nil injector or one that copies its input)
 // returns the exact logits.
 func TestSessionReplayNoopInjection(t *testing.T) {
 	for name, tc := range replayFixtures() {
@@ -182,15 +183,16 @@ func TestSessionReplayNoopInjection(t *testing.T) {
 			sess := exec.NewSession(exec.NewPlan(tc.net))
 			for _, id := range tc.net.AnalyzableNodes() {
 				sameBits(t, fmt.Sprintf("node %d nil", id), sess.Replay(acts, id, nil, nil).Data, exact)
-				noop := func(*tensor.Tensor) {}
+				noop := func(dst, src *tensor.Tensor) { copy(dst.Data, src.Data) }
 				sameBits(t, fmt.Sprintf("node %d no-op", id), sess.Replay(acts, id, nil, noop).Data, exact)
 			}
 		})
 	}
 }
 
-// TestSessionReplayDoesNotMutateCache: replays that overwrite the
-// injected node's input never write the cached activations they read.
+// TestSessionReplayDoesNotMutateCache: replays whose injectors write
+// every element of their dst never write the cached activations they
+// read.
 func TestSessionReplayDoesNotMutateCache(t *testing.T) {
 	for name, tc := range replayFixtures() {
 		t.Run(name, func(t *testing.T) {
@@ -201,7 +203,7 @@ func TestSessionReplayDoesNotMutateCache(t *testing.T) {
 			}
 			sess := exec.NewSession(exec.NewPlan(tc.net))
 			for _, id := range tc.net.AnalyzableNodes() {
-				sess.Replay(acts, id, nil, func(t *tensor.Tensor) { t.Fill(99) })
+				sess.Replay(acts, id, nil, func(dst, _ *tensor.Tensor) { dst.Fill(99) })
 				sess.Replay(acts, id, nil, profile.UniformInjector(rng.New(uint64(id)), 0.05, false))
 			}
 			for id := range acts {
@@ -281,15 +283,105 @@ func TestSessionForwardMatchesForwardAll(t *testing.T) {
 	}
 }
 
+// TestSessionRaggedBatchesReuseArenas runs batches of 32, 32, 4, 32
+// and 4 images through one Session, as an evaluation with a ragged
+// last batch does: exact and injected Forward, and Replay from every
+// analyzable node. Buffers are kept by capacity, so nothing is
+// allocated after the first pass, and every result equals a fresh
+// Session's bit for bit, shaped for its own batch.
+func TestSessionRaggedBatchesReuseArenas(t *testing.T) {
+	sizes := []int{32, 32, 4, 32, 4}
+	tn, _, _ := testnet.Trained()
+	for name, net := range map[string]*nn.Network{"branchy": branchy(), "testnet": tn} {
+		plan := exec.NewPlan(net)
+		xs := make([]*tensor.Tensor, len(sizes))
+		acts := make([][]*tensor.Tensor, len(sizes))
+		r := rng.New(5)
+		for b, n := range sizes {
+			xs[b] = tensor.New(append([]int{n}, net.InputShape...)...)
+			for i := range xs[b].Data {
+				xs[b].Data[i] = r.Uniform(-1, 1)
+			}
+			acts[b] = net.ForwardAll(xs[b])
+		}
+		noise := func(b, id int) nn.Injector {
+			return profile.UniformInjector(rng.New(uint64(b<<16|id)), 0.05, false)
+		}
+		type call func(*exec.Session) *tensor.Tensor
+		// Each mode lists batch b's calls.
+		modes := map[string]func(b int) []call{
+			"exact forward": func(b int) []call {
+				return []call{func(s *exec.Session) *tensor.Tensor { return s.Forward(xs[b], nil) }}
+			},
+			"injected forward": func(b int) []call {
+				return []call{func(s *exec.Session) *tensor.Tensor {
+					inj := map[int]nn.Injector{}
+					for _, id := range net.AnalyzableNodes() {
+						inj[id] = noise(b, id)
+					}
+					return s.Forward(xs[b], inj)
+				}}
+			},
+			"replay": func(b int) []call {
+				var calls []call
+				for _, id := range net.AnalyzableNodes() {
+					calls = append(calls, func(s *exec.Session) *tensor.Tensor { return s.Replay(acts[b], id, nil, noise(b, id)) })
+				}
+				return calls
+			},
+		}
+		for mode, callsOf := range modes {
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				exec.DisableMetrics()
+				want := make([][]*tensor.Tensor, len(sizes))
+				for b := range sizes {
+					for _, c := range callsOf(b) {
+						want[b] = append(want[b], c(exec.NewSession(plan)).Clone())
+					}
+				}
+				m := exec.EnableMetrics(obs.NewRegistry())
+				defer exec.DisableMetrics()
+				sess := exec.NewSession(plan)
+				var firstPass uint64
+				for b, n := range sizes {
+					for i, c := range callsOf(b) {
+						got := c(sess)
+						what := fmt.Sprintf("batch %d (%d images) call %d", b, n, i)
+						if got.Shape[0] != n || got.Len() != n*net.NumClasses {
+							t.Fatalf("%s: shape %v with %d values", what, got.Shape, got.Len())
+						}
+						sameBits(t, what, got.Data, want[b][i].Data)
+					}
+					if b == 0 {
+						firstPass = m.ArenaAllocs.Value()
+					}
+				}
+				if got := m.ArenaAllocs.Value(); got != firstPass {
+					t.Fatalf("%d arena allocations after the first pass (%d in it)", got-firstPass, firstPass)
+				}
+				if m.ArenaReuses.Value() == 0 {
+					t.Fatal("no arena reuses")
+				}
+			})
+		}
+	}
+}
+
 // TestSessionInjectIsolatesSharedTensors: branch1, branch2 and concat
-// all read relu1's output; injecting at branch1 must perturb only the
-// copy branch1 sees. The independent reference applies the same plan,
-// and the replay must agree with the forward pass bitwise.
+// all read relu1's output; an injector at branch1 writes only the
+// buffer branch1 reads, never the shared tensor it is handed as src.
+// The independent reference applies the same plan, and the replay must
+// agree with the forward pass bitwise.
 func TestSessionInjectIsolatesSharedTensors(t *testing.T) {
 	net := branchy()
 	x := replayFixtures()["branchy"].x
 	b1 := net.NodeByName("branch1").ID
-	zero := func(t *tensor.Tensor) { t.Fill(0) }
+	zero := func(dst, src *tensor.Tensor) {
+		if &dst.Data[0] == &src.Data[0] {
+			t.Error("the injector's dst is the shared input")
+		}
+		dst.Fill(0)
+	}
 	plan := map[int]nn.Injector{b1: zero}
 	acts := net.ForwardAll(x)
 	sess := exec.NewSession(exec.NewPlan(net))
@@ -320,7 +412,7 @@ func TestSessionReplayPanicsOnBadNode(t *testing.T) {
 					t.Errorf("Replay(node %d) did not panic", id)
 				}
 			}()
-			sess.Replay(acts, id, nil, func(*tensor.Tensor) {})
+			sess.Replay(acts, id, nil, func(dst, src *tensor.Tensor) { copy(dst.Data, src.Data) })
 		}()
 	}
 }

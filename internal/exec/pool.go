@@ -52,12 +52,13 @@ func (p *Pool) Session(worker int) *Session {
 // of them when n <= 0 or n > ds.Len()), in batches of batchSize
 // (default 32) mapped across the pool. planFor (optional) gives batch
 // b's injection plan; a plan of stateful injectors must be used by its
-// own batch only, or the pool must have one worker. noise (optional)
-// perturbs batch b's logits in place before the argmax. Per-batch
+// own batch only, or the pool must have one worker. observe (optional)
+// is handed batch b's logits before they are counted; they belong to
+// the worker's Session, so it must copy what it keeps. Per-batch
 // counts are summed in batch order, so the result is bit-identical at
 // every worker count.
 func (p *Pool) Accuracy(ctx context.Context, ds *dataset.Dataset, n, batchSize int,
-	planFor func(b int) map[int]nn.Injector, noise func(b int, logits *tensor.Tensor)) (float64, error) {
+	planFor func(b int) map[int]nn.Injector, observe func(b int, logits *tensor.Tensor)) (float64, error) {
 	if n <= 0 || n > ds.Len() {
 		n = ds.Len()
 	}
@@ -77,14 +78,10 @@ func (p *Pool) Accuracy(ctx context.Context, ds *dataset.Dataset, n, batchSize i
 			plan = planFor(b)
 		}
 		logits := p.Session(worker).Forward(ds.Batch(start, size), plan)
-		if noise != nil {
-			noise(b, logits)
+		if observe != nil {
+			observe(b, logits)
 		}
-		for i, pred := range nn.Argmax(logits) {
-			if pred == ds.Labels[start+i] {
-				correct[b]++
-			}
-		}
+		correct[b] = Hits(logits, ds.Labels[start:start+size])
 		return nil
 	})
 	if err != nil {
@@ -95,6 +92,19 @@ func (p *Pool) Accuracy(ctx context.Context, ds *dataset.Dataset, n, batchSize i
 		total += c
 	}
 	return float64(total) / float64(n), nil
+}
+
+// Hits counts the rows of logits whose argmax equals the row's label:
+// the one top-1 count behind Pool.Accuracy and the σ search's Scheme 2
+// probes.
+func Hits(logits *tensor.Tensor, labels []int) int {
+	hits := 0
+	for i, pred := range nn.Argmax(logits) {
+		if pred == labels[i] {
+			hits++
+		}
+	}
+	return hits
 }
 
 // Accuracy measures top-1 accuracy of net over the first n images of ds

@@ -12,23 +12,26 @@ import (
 // Session executes one network through pooled activation arenas. It
 // owns one output buffer per node plus one injection buffer per node,
 // all reused across calls, so the steady-state replay/forward hot path
-// allocates nothing. Dense math runs on the kernel backend the Session
-// was created with (see kernels.Policy).
+// allocates nothing. A buffer is kept by capacity: a smaller batch
+// (the ragged last batch of an evaluation) reslices the buffer a
+// larger one left, and only a batch larger than any before it
+// reallocates. Dense math runs on the kernel backend the Session was
+// created with (see kernels.Policy).
 //
 // A Session is NOT safe for concurrent use; create one per worker
 // goroutine. Any number of Sessions may share one Plan — the Plan and
 // the underlying Network (weights included) are only read.
 //
 // Tensors returned by Forward and Replay are owned by the Session and
-// overwritten by its next call: consume (or copy) them before reusing
-// the Session.
+// overwritten (data and batch dimension) by its next call: consume (or
+// copy) them before reusing the Session.
 type Session struct {
 	plan *Plan
 	be   kernels.Backend // resolved from the policy; carries the tracer (see Trace)
 
 	cur    []*tensor.Tensor   // per-call activation view, indexed by node ID
 	bufs   []*tensor.Tensor   // pooled output buffer per node
-	inbufs []*tensor.Tensor   // pooled injected-input copy per node
+	inbufs []*tensor.Tensor   // pooled injector output per node
 	ins    [][]*tensor.Tensor // pooled input-gather slice per node
 
 	// Arena stats for the in-flight pass, batched in plain ints (the
@@ -70,10 +73,14 @@ func NewSessionPolicy(p *Plan, pol kernels.Policy) *Session {
 func (s *Session) Trace(ctx context.Context) { s.be = kernels.Traced(ctx, s.be) }
 
 // buf returns the pooled output tensor of node id sized for the given
-// batch, reallocating only when the batch size changes.
+// batch, reallocating only when the batch outgrows the buffer. Every
+// layer writes all of its output, so the stale tail of a larger batch
+// is never read.
 func (s *Session) buf(id, batch int) *tensor.Tensor {
 	want := batch * s.plan.outSize[id]
-	if t := s.bufs[id]; t != nil && t.Len() == want {
+	if t := s.bufs[id]; t != nil && cap(t.Data) >= want {
+		t.Data = t.Data[:want]
+		t.Shape[0] = batch
 		s.statReuses++
 		return t
 	}
@@ -84,18 +91,21 @@ func (s *Session) buf(id, batch int) *tensor.Tensor {
 	return t
 }
 
-// injectCopy copies src into node id's pooled injection buffer.
-func (s *Session) injectCopy(id int, src *tensor.Tensor) *tensor.Tensor {
+// inject runs fn from src into node id's pooled injection buffer,
+// shaped like src and kept by capacity like the output buffers, and
+// returns the buffer.
+func (s *Session) inject(id int, fn nn.Injector, src *tensor.Tensor) *tensor.Tensor {
 	t := s.inbufs[id]
-	if t == nil || t.Len() != src.Len() || len(t.Shape) != len(src.Shape) {
+	if t != nil && cap(t.Data) >= src.Len() && len(t.Shape) == len(src.Shape) {
+		t.Data = t.Data[:src.Len()]
+		copy(t.Shape, src.Shape)
+		s.statReuses++
+	} else {
 		t = tensor.New(src.Shape...)
 		s.inbufs[id] = t
 		s.statAllocs++
-	} else {
-		s.statReuses++
 	}
-	copy(t.Data, src.Data)
-	copy(t.Shape, src.Shape)
+	fn(t, src)
 	return t
 }
 
@@ -118,10 +128,11 @@ func (s *Session) step(l nn.Layer, id int, ins []*tensor.Tensor, batch int) {
 }
 
 // Forward runs a full forward pass of x and returns the logits (owned
-// by the Session). Each node in inject computes on a privately
-// perturbed copy of its first input, so a tensor several nodes consume
-// is perturbed only as the injected node sees it — the paper's Scheme 1
-// simultaneous multi-layer injection. A nil plan runs the exact pass.
+// by the Session). Each node in inject computes on its injector's
+// output, written into a private buffer from its first input, so a
+// tensor several nodes consume is perturbed only as the injected node
+// sees it — the paper's Scheme 1 simultaneous multi-layer injection. A
+// nil plan runs the exact pass.
 //
 // Cached-activation slices fed to Replay must come from an allocating
 // pass (nn.Network.ForwardAll), never from this Session's own buffers:
@@ -133,9 +144,7 @@ func (s *Session) Forward(x *tensor.Tensor, inject map[int]nn.Injector) *tensor.
 	for _, nd := range net.Nodes[1:] {
 		ins := s.gather(nd)
 		if fn, ok := inject[nd.ID]; ok {
-			cp := s.injectCopy(nd.ID, ins[0])
-			fn(cp)
-			ins[0] = cp
+			ins[0] = s.inject(nd.ID, fn, ins[0])
 		}
 		s.step(nd.Layer, nd.ID, ins, batch)
 	}
@@ -164,9 +173,7 @@ func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, layer nn.Layer, inje
 	nd := net.Nodes[nodeID]
 	ins := s.gather(nd)
 	if inject != nil {
-		cp := s.injectCopy(nodeID, ins[0])
-		inject(cp)
-		ins[0] = cp
+		ins[0] = s.inject(nodeID, inject, ins[0])
 	}
 	if layer == nil {
 		layer = nd.Layer

@@ -85,94 +85,47 @@ type Profile struct {
 // NumSources returns the total number of noise sources (Σ_K G_K).
 func (p *Profile) NumSources() int { return len(p.Groups) }
 
-// groupInjector perturbs only the channels [lo, hi) of a 4-D tensor
-// (or features [lo, hi) of a 2-D tensor).
-func groupInjector(r *rng.RNG, delta float64, lo, hi int) nn.Injector {
-	return func(t *tensor.Tensor) {
-		if delta <= 0 {
-			return
-		}
-		switch len(t.Shape) {
-		case 4:
-			N, C, H, W := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-			plane := H * W
-			for n := 0; n < N; n++ {
-				for c := lo; c < hi && c < C; c++ {
-					base := (n*C + c) * plane
-					for i := 0; i < plane; i++ {
-						if v := t.Data[base+i]; v != 0 {
-							t.Data[base+i] = v + r.Uniform(-delta, delta)
-						}
-					}
-				}
-			}
-		case 2:
-			N, F := t.Shape[0], t.Shape[1]
-			for n := 0; n < N; n++ {
-				for f := lo; f < hi && f < F; f++ {
-					if v := t.Data[n*F+f]; v != 0 {
-						t.Data[n*F+f] = v + r.Uniform(-delta, delta)
-					}
-				}
-			}
-		default:
-			panic(fmt.Sprintf("groups: unsupported input rank %d", len(t.Shape)))
-		}
+// groupRanges calls fn with the bounds [a, b) of the contiguous run of
+// t.Data that channels [lo, hi) of a 4-D tensor (or features [lo, hi)
+// of a 2-D tensor) occupy in each image, in image order.
+func groupRanges(t *tensor.Tensor, lo, hi int, fn func(a, b int)) {
+	if r := len(t.Shape); r != 2 && r != 4 {
+		panic(fmt.Sprintf("groups: unsupported input rank %d", r))
+	}
+	channels, inner := t.Shape[1], 1 // inner: elements per channel
+	for _, d := range t.Shape[2:] {
+		inner *= d
+	}
+	hi = min(hi, channels)
+	for n := 0; n < t.Shape[0] && lo < hi; n++ {
+		base := n * channels * inner
+		fn(base+lo*inner, base+hi*inner)
 	}
 }
 
-// groupQuantizer rounds only the group's channels to the format.
-func groupQuantizer(f fixedpoint.Format, lo, hi int) func(t *tensor.Tensor) {
-	return func(t *tensor.Tensor) {
-		switch len(t.Shape) {
-		case 4:
-			N, C, H, W := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-			plane := H * W
-			for n := 0; n < N; n++ {
-				for c := lo; c < hi && c < C; c++ {
-					base := (n*C + c) * plane
-					f.QuantizeSlice(t.Data[base:base+plane], t.Data[base:base+plane])
-				}
-			}
-		case 2:
-			N, F := t.Shape[0], t.Shape[1]
-			for n := 0; n < N; n++ {
-				row := t.Data[n*F : (n+1)*F]
-				for i := lo; i < hi && i < F; i++ {
-					row[i] = f.Quantize(row[i])
-				}
-			}
+// groupInjector copies its input and perturbs only the group's channels.
+func groupInjector(r *rng.RNG, delta float64, lo, hi int) nn.Injector {
+	return func(dst, src *tensor.Tensor) {
+		copy(dst.Data, src.Data)
+		if delta <= 0 {
+			return
 		}
+		groupRanges(dst, lo, hi, func(a, b int) {
+			r.AddUniform(dst.Data[a:b], dst.Data[a:b], delta, false)
+		})
 	}
 }
 
 // groupMaxAbs measures max |x| over the group's channels.
 func groupMaxAbs(t *tensor.Tensor, lo, hi int) float64 {
 	max := 0.0
-	switch len(t.Shape) {
-	case 4:
-		N, C, H, W := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-		plane := H * W
-		for n := 0; n < N; n++ {
-			for c := lo; c < hi && c < C; c++ {
-				base := (n*C + c) * plane
-				for i := 0; i < plane; i++ {
-					if a := math.Abs(t.Data[base+i]); a > max {
-						max = a
-					}
-				}
+	groupRanges(t, lo, hi, func(a, b int) {
+		for _, v := range t.Data[a:b] {
+			if m := math.Abs(v); m > max {
+				max = m
 			}
 		}
-	case 2:
-		N, F := t.Shape[0], t.Shape[1]
-		for n := 0; n < N; n++ {
-			for f := lo; f < hi && f < F; f++ {
-				if a := math.Abs(t.Data[n*F+f]); a > max {
-					max = a
-				}
-			}
-		}
-	}
+	})
 	return max
 }
 
@@ -290,10 +243,12 @@ func (a *Allocation) InjectionPlan() map[int]nn.Injector {
 	}
 	plan := make(map[int]nn.Injector, len(byNode))
 	for node, gs := range byNode {
-		gs := gs
-		plan[node] = func(t *tensor.Tensor) {
+		plan[node] = func(dst, src *tensor.Tensor) {
+			copy(dst.Data, src.Data)
 			for _, g := range gs {
-				groupQuantizer(g.Format, g.LoChan, g.HiChan)(t)
+				groupRanges(dst, g.LoChan, g.HiChan, func(a, b int) {
+					g.Format.QuantizeSlice(dst.Data[a:b], dst.Data[a:b])
+				})
 			}
 		}
 	}

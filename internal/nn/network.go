@@ -25,17 +25,23 @@ type Node struct {
 	Shape []int
 }
 
-// Injector perturbs (in place) a copy of the input tensor of an
-// analyzable node during a forward pass — the paper's error-injection
-// primitive (Sec. V-A step 3).
+// Injector writes the perturbed input of an analyzable node into dst
+// from the exact input src during a forward pass — the paper's
+// error-injection primitive (Sec. V-A step 3).
 //
-// Contract: injection applies to Inputs[0] of the target node ONLY.
-// Every analyzable (dot-product) layer in this repository consumes a
-// single input, so this covers the full operand stream the paper
-// quantizes; AddNode rejects any future multi-input dot-product layer
-// at construction time rather than letting its extra operands escape
+// Contract: dst and src have equal shapes and may be the same tensor.
+// The injector must write every element of dst, copying from src each
+// element it does not perturb, because the pass hands it a reused
+// buffer holding an earlier batch's data. src is only read: it may be
+// an activation other nodes consume or a cached exact activation.
+//
+// Injection applies to Inputs[0] of the target node ONLY. Every
+// analyzable (dot-product) layer in this repository consumes a single
+// input, so this covers the full operand stream the paper quantizes;
+// AddNode rejects any future multi-input dot-product layer at
+// construction time rather than letting its extra operands escape
 // injection silently.
-type Injector func(t *tensor.Tensor)
+type Injector func(dst, src *tensor.Tensor)
 
 // Network is a feed-forward DAG of layers. Nodes are stored in
 // topological order (construction order); node 0 is the input, the last

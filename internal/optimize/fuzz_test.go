@@ -111,7 +111,7 @@ func FuzzSolveNewtonKKT(f *testing.F) {
 			t.Fatalf("n=%d: %v", n, cerr)
 		}
 		if n <= 3 {
-			if cerr := refcheck.CheckSolverBeatsGrid(p, xi, 60, refcheck.ValueTol*math.Abs(v)); cerr != nil {
+			if cerr := refcheck.CheckSolverBeatsGrid(p, xi, 60, refcheck.Allowance(p, xi)); cerr != nil {
 				t.Fatalf("n=%d: %v", n, cerr)
 			}
 		}

@@ -93,6 +93,18 @@ func (o *BitObjective) Value(xi []float64) float64 {
 	return total
 }
 
+// Magnitude returns Σ_K |ρ_K·log2 Δ_K(ξ_K)|, the size of the terms
+// Value sums. It bounds Value's rounding: once some Δ_K > 1 the terms
+// have both signs and cancel, so |Value| can be far smaller than the
+// rounding error it carries (see refcheck.Allowance).
+func (o *BitObjective) Magnitude(xi []float64) float64 {
+	total := 0.0
+	for k := range o.Rho {
+		total += math.Abs(o.Rho[k] * math.Log2(o.Delta(k, xi[k])))
+	}
+	return total
+}
+
 // XiAt implements Problem. With s = √ξ, a = λσ and c = ρ/ln 2, the
 // condition F_K'(ξ) + μ = 0 is 2μa·s² + 2μθ·s − c·a = 0. Its positive
 // root is written in the form that does not cancel for the sign of θ,

@@ -181,18 +181,15 @@ func (p *Profile) Reindex() {
 func (p *Profile) NumLayers() int { return len(p.Layers) }
 
 // UniformInjector returns an nn.Injector adding i.i.d. uniform noise of
-// boundary delta to every (non-zero unless includeZeros) element.
+// boundary delta to every (non-zero unless includeZeros) element; a
+// non-positive delta copies the input unchanged.
 func UniformInjector(r *rng.RNG, delta float64, includeZeros bool) nn.Injector {
-	return func(t *tensor.Tensor) {
+	return func(dst, src *tensor.Tensor) {
 		if delta <= 0 {
+			copy(dst.Data, src.Data)
 			return
 		}
-		for i, v := range t.Data {
-			if v == 0 && !includeZeros {
-				continue
-			}
-			t.Data[i] = v + r.Uniform(-delta, delta)
-		}
+		r.AddUniform(dst.Data, src.Data, delta, includeZeros)
 	}
 }
 
@@ -201,8 +198,8 @@ func UniformInjector(r *rng.RNG, delta float64, includeZeros bool) nn.Injector {
 // an allocation, where the statistical model is replaced by actual
 // rounding.
 func QuantizeInjector(f fixedpoint.Format) nn.Injector {
-	return func(t *tensor.Tensor) {
-		f.QuantizeSlice(t.Data, t.Data)
+	return func(dst, src *tensor.Tensor) {
+		f.QuantizeSlice(dst.Data, src.Data)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestProfileLayerLookup(t *testing.T) {
 func TestUniformInjectorSkipsZeros(t *testing.T) {
 	r := rng.New(1)
 	x := tensor.FromSlice([]float64{0, 1, 0, -2}, 4)
-	UniformInjector(r, 0.5, false)(x)
+	UniformInjector(r, 0.5, false)(x, x)
 	if x.Data[0] != 0 || x.Data[2] != 0 {
 		t.Fatal("zeros were perturbed")
 	}
@@ -135,7 +135,7 @@ func TestUniformInjectorSkipsZeros(t *testing.T) {
 func TestUniformInjectorIncludeZeros(t *testing.T) {
 	r := rng.New(2)
 	x := tensor.New(64)
-	UniformInjector(r, 0.5, true)(x)
+	UniformInjector(r, 0.5, true)(x, x)
 	moved := 0
 	for _, v := range x.Data {
 		if v != 0 {
@@ -149,7 +149,7 @@ func TestUniformInjectorIncludeZeros(t *testing.T) {
 
 func TestUniformInjectorZeroDelta(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 2}, 2)
-	UniformInjector(rng.New(3), 0, true)(x)
+	UniformInjector(rng.New(3), 0, true)(x, x)
 	if x.Data[0] != 1 || x.Data[1] != 2 {
 		t.Fatal("Δ=0 injector changed values")
 	}
@@ -158,7 +158,7 @@ func TestUniformInjectorZeroDelta(t *testing.T) {
 func TestQuantizeInjector(t *testing.T) {
 	f := fixedpoint.Format{IntBits: 4, FracBits: 1} // step 0.5
 	x := tensor.FromSlice([]float64{0.3, 1.26}, 2)
-	QuantizeInjector(f)(x)
+	QuantizeInjector(f)(x, x)
 	if x.Data[0] != 0.5 || x.Data[1] != 1.5 {
 		t.Fatalf("quantized = %v", x.Data)
 	}

@@ -59,7 +59,7 @@ func GridSolve(p optimize.Problem, steps int) ([]float64, float64, error) {
 // CheckSolverBeatsGrid verifies a solver solution against the
 // brute-force oracle: for a convex Eq. 8 objective the solver's value
 // must be at least as good as the best grid point, up to slack for
-// rounding (ValueTol·|value| for an exact solver).
+// rounding (Allowance(p, xi) for an exact solver).
 func CheckSolverBeatsGrid(p optimize.Problem, xi []float64, steps int, slack float64) error {
 	gridXi, gridVal, err := GridSolve(p, steps)
 	if err != nil {
@@ -74,14 +74,26 @@ func CheckSolverBeatsGrid(p optimize.Problem, xi []float64, steps int, slack flo
 
 // ValueTol is the relative rounding allowance on an Eq. 8 objective
 // value: an exact solution may lose to another point by no more than
-// ValueTol·|value|. |value| bounds the rounding only while the terms
-// ρ_K·(−log2 Δ_K) do not cancel, that is while every Δ_K < 1.
+// Allowance, ValueTol times the size of the terms the value sums.
 const ValueTol = 1e-12
+
+// Allowance is the rounding an exact solution's value p.Value(xi) may
+// carry: ValueTol·Σ_K|term_K| when p reports that sum through a
+// Magnitude method (optimize.BitObjective does), else ValueTol·|value|.
+// The two agree while no terms cancel; once some Eq. 8 term
+// ρ_K·(−log2 Δ_K) turns negative (Δ_K > 1, at σ_YŁ near 4 and above)
+// the sum can be far larger than |value|, and so can the rounding.
+func Allowance(p optimize.Problem, xi []float64) float64 {
+	if m, ok := p.(interface{ Magnitude(xi []float64) float64 }); ok {
+		return ValueTol * m.Magnitude(xi)
+	}
+	return ValueTol * math.Abs(p.Value(xi))
+}
 
 // CheckNoDescentMove is a derivative-free first-order optimality check
 // for Eq. 8 that works at any dimension and shares no code with the
 // solver: moving eps of free mass from any source to any other must
-// not lower p.Value by more than ValueTol·|value|. The objective is
+// not lower p.Value by more than Allowance(p, xi). The objective is
 // separable, so a move's change is the donor's change plus the
 // receiver's: the check measures each with one Value call per source
 // and side, then evaluates the move with the lowest sum. Only sources
@@ -117,7 +129,7 @@ func CheckNoDescentMove(p optimize.Problem, xi []float64, eps float64) error {
 	}
 	x[from] -= eps
 	x[to] += eps
-	if moved := p.Value(x); moved < v-ValueTol*math.Abs(v) {
+	if moved := p.Value(x); moved < v-Allowance(p, xi) {
 		return fmt.Errorf("moving %g of ξ from source %d to %d lowers the value from %.17g to %.17g (relative %.3g)",
 			eps, from, to, v, moved, (moved-v)/math.Abs(v))
 	}

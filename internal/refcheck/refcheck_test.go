@@ -9,6 +9,7 @@ import (
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/optimize"
+	"mupod/internal/profile"
 	"mupod/internal/rng"
 	"mupod/internal/search"
 	"mupod/internal/tensor"
@@ -30,9 +31,9 @@ func randTensor(r *rng.RNG, shape ...int) *tensor.Tensor {
 func TestReferenceMatchesFastPathsOverZoo(t *testing.T) {
 	// A position-keyed bump keeps the injected noise identical on both
 	// sides whatever values the two paths compute.
-	bump := func(x *tensor.Tensor) {
-		for i := range x.Data {
-			x.Data[i] += 0.01 * float64(i%3-1)
+	bump := func(dst, src *tensor.Tensor) {
+		for i, v := range src.Data {
+			dst.Data[i] = v + 0.01*float64(i%3-1)
 		}
 	}
 	for _, f := range testnet.Zoo() {
@@ -185,6 +186,50 @@ func TestGridSolveAgainstClosedForm(t *testing.T) {
 	}
 	if err := CheckNoDescentMove(p, bad, 1e-7); err == nil {
 		t.Fatal("first-order oracle accepted a clearly suboptimal point")
+	}
+}
+
+// TestAllowanceScalesWithCancellingTerms: at σ_YŁ = 4 source 0's Δ
+// exceeds 1, so its Eq. 8 term is negative and nearly cancels source
+// 1's. |value| then falls below the rounding of a single term: the
+// allowance ValueTol·|value| is under half an ulp of the largest term,
+// so it cannot hold the rounding of a correct solve, while Allowance,
+// scaled by Σ|terms|, holds several ulps. The checks pass on the
+// solver's ξ and still refuse a point off the optimum.
+func TestAllowanceScalesWithCancellingTerms(t *testing.T) {
+	prof := &profile.Profile{Layers: []profile.LayerProfile{{Lambda: 1}, {Lambda: 1.0 / 64}}}
+	obj, err := optimize.NewBitObjective(prof, 4, []float64{1000, 358.597}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xi, _, err := optimize.Solve(context.Background(), obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := obj.Delta(0, xi[0]); d <= 1 {
+		t.Fatalf("Δ_0 = %g; the fixture needs a Δ above 1", d)
+	}
+	v := obj.Value(xi)
+	largest := 0.0
+	for k := range xi {
+		largest = max(largest, math.Abs(obj.Rho[k]*math.Log2(obj.Delta(k, xi[k]))))
+	}
+	ulp := math.Nextafter(largest, math.Inf(1)) - largest
+	if old := ValueTol * math.Abs(v); old >= ulp/2 {
+		t.Fatalf("ValueTol·|value| = %g is not below half an ulp (%g) of the largest term %g; the terms do not cancel", old, ulp/2, largest)
+	}
+	if a := Allowance(obj, xi); a < 4*ulp {
+		t.Fatalf("Allowance %g is under 4 ulps (%g) of the largest term %g", a, 4*ulp, largest)
+	}
+	if err := CheckNoDescentMove(obj, xi, oracleEps); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckSolverBeatsGrid(obj, xi, 20, Allowance(obj, xi)); err != nil {
+		t.Fatal(err)
+	}
+	off := []float64{xi[0] - 0.05, xi[1] + 0.05}
+	if err := CheckNoDescentMove(obj, off, oracleEps); err == nil {
+		t.Fatal("first-order oracle accepted a point 0.05 off the optimum")
 	}
 }
 

@@ -267,9 +267,9 @@ func ForwardLayer(l nn.Layer, ins []*tensor.Tensor) *tensor.Tensor {
 
 // ForwardNetwork runs a full forward pass through the reference
 // kernels, following the network's topological node order, and returns
-// the logits. Each node in inject (nil = exact) computes on its own
-// perturbed copy of its first input, leaving the activation other
-// consumers read untouched.
+// the logits. Each node in inject (nil = exact) computes on its
+// injector's output, written into a fresh tensor from its first input,
+// so the activation other consumers read stays untouched.
 func ForwardNetwork(net *nn.Network, x *tensor.Tensor, inject map[int]nn.Injector) *tensor.Tensor {
 	acts := make([]*tensor.Tensor, len(net.Nodes))
 	acts[0] = x
@@ -279,8 +279,9 @@ func ForwardNetwork(net *nn.Network, x *tensor.Tensor, inject map[int]nn.Injecto
 			ins[i] = acts[id]
 		}
 		if fn, ok := inject[nd.ID]; ok {
-			ins[0] = ins[0].Clone()
-			fn(ins[0])
+			dst := tensor.New(ins[0].Shape...)
+			fn(dst, ins[0])
+			ins[0] = dst
 		}
 		acts[nd.ID] = ForwardLayer(nd.Layer, ins)
 	}

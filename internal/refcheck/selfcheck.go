@@ -269,7 +269,7 @@ func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 		s.add(f.Name, "allocation solve", err)
 		return
 	}
-	xi, st, err := optimize.Solve(ctx, obj)
+	xi, _, err := optimize.Solve(ctx, obj)
 	s.add(f.Name, "allocation solve", err)
 	if err != nil {
 		return
@@ -277,7 +277,7 @@ func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 	s.add(f.Name, "eq6 simplex budget", CheckSimplex(xi, obj.LowerBound))
 	s.add(f.Name, "eq8 first-order oracle", CheckNoDescentMove(obj, xi, oracleEps))
 	if obj.Dim() <= 4 {
-		s.add(f.Name, "eq8 grid oracle", CheckSolverBeatsGrid(obj, xi, s.opts.GridSteps, ValueTol*math.Abs(st.Value)))
+		s.add(f.Name, "eq8 grid oracle", CheckSolverBeatsGrid(obj, xi, s.opts.GridSteps, Allowance(obj, xi)))
 	}
 
 	s.checkPareto(ctx, f, prof, res.SigmaYL)

@@ -69,9 +69,48 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Uniform returns a uniform value in [lo, hi).
+// Uniform returns a uniform value in [lo, hi). The explicit conversion
+// keeps a compiler from fusing the multiply-add (the Go spec allows the
+// fusion otherwise), so every platform rounds the product as AddUniform
+// does.
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
+}
+
+// AddUniform sets dst[i] = src[i] + u_i, where u_i are the values a loop
+// of r.Uniform(-delta, delta) calls would return, in index order; r
+// ends in the state that loop leaves. Exact zeros (±0) are copied
+// through without a draw unless includeZeros, since fixed point
+// represents zero exactly. It is the one uniform-noise loop of the
+// injection sweeps and the σ search: the generator state stays in
+// locals for the whole slice. dst and src must have equal lengths and
+// may be the same slice.
+func (r *RNG) AddUniform(dst, src []float64, delta float64, includeZeros bool) {
+	if len(dst) != len(src) {
+		panic("rng: AddUniform length mismatch")
+	}
+	dst = dst[:len(src)]
+	lo := -delta
+	span := delta - lo
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i, v := range src {
+		if v == 0 && !includeZeros {
+			dst[i] = v
+			continue
+		}
+		// One Uint64 step, as in (*RNG).Uint64.
+		x := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		f := float64(x>>11) * (1.0 / (1 << 53))
+		dst[i] = v + (lo + float64(span*f))
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -102,9 +141,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// norm caches a spare Gaussian deviate per generator (Box-Muller pairs).
-var _ = math.Pi
 
 // Normal returns a standard normal deviate using the polar Box-Muller
 // transform (no cached spare; simpler and still fast enough for this

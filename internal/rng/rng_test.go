@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -208,4 +209,127 @@ func TestQuickUniformInRange(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// uniformLoop is the per-element loop AddUniform replaces: one
+// r.Uniform(-delta, delta) call per drawn element.
+func uniformLoop(r *RNG, dst, src []float64, delta float64, includeZeros bool) {
+	for i, v := range src {
+		if v == 0 && !includeZeros {
+			dst[i] = v
+			continue
+		}
+		dst[i] = v + r.Uniform(-delta, delta)
+	}
+}
+
+// checkAddUniform runs AddUniform and the reference loop on copies of
+// src from one seed, into a separate dst and in place, and compares
+// every output bit and the generators' next output.
+func checkAddUniform(t *testing.T, seed uint64, src []float64, delta float64, includeZeros bool) {
+	t.Helper()
+	want := make([]float64, len(src))
+	ref := New(seed)
+	uniformLoop(ref, want, src, delta, includeZeros)
+	next := ref.Uint64()
+
+	in := append([]float64(nil), src...)
+	sep := make([]float64, len(src))
+	aliased := append([]float64(nil), src...)
+	for name, run := range map[string]func(r *RNG) []float64{
+		"separate dst": func(r *RNG) []float64 { r.AddUniform(sep, in, delta, includeZeros); return sep },
+		"aliased dst":  func(r *RNG) []float64 { r.AddUniform(aliased, aliased, delta, includeZeros); return aliased },
+	} {
+		r := New(seed)
+		got := run(r)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d δ=%g includeZeros=%v %s: element %d (src %g) = %g (%#x), Uniform loop %g (%#x)",
+					seed, delta, includeZeros, name, i, src[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+		if n := r.Uint64(); n != next {
+			t.Fatalf("seed %d δ=%g includeZeros=%v %s: next Uint64 %#x, Uniform loop leaves %#x", seed, delta, includeZeros, name, n, next)
+		}
+	}
+	for i := range src {
+		if math.Float64bits(in[i]) != math.Float64bits(src[i]) {
+			t.Fatalf("AddUniform into a separate dst changed src[%d]", i)
+		}
+	}
+}
+
+func TestAddUniformMatchesUniformLoop(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 0x1p-1022, -0x1p-1023, math.MaxFloat64, -math.MaxFloat64,
+		1, -1, 0.1, -3.75, 1e300, -1e-300,
+	}
+	deltas := []float64{0.05, 1, 0x1p-1074, 1e-300, 1e300, math.MaxFloat64, 0, -0.5}
+	for seed := uint64(0); seed < 64; seed++ {
+		r := New(seed ^ 0xa11)
+		src := make([]float64, 97)
+		for i := range src {
+			switch r.Intn(3) {
+			case 0:
+				src[i] = specials[r.Intn(len(specials))]
+			case 1:
+				src[i] = 0
+			default:
+				src[i] = r.Uniform(-4, 4)
+			}
+		}
+		for _, delta := range deltas {
+			for _, includeZeros := range []bool{false, true} {
+				checkAddUniform(t, seed, src, delta, includeZeros)
+			}
+		}
+	}
+	checkAddUniform(t, 1, nil, 0.5, false)
+}
+
+func TestAddUniformLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddUniform with unequal lengths did not panic")
+		}
+	}()
+	New(1).AddUniform(make([]float64, 3), make([]float64, 4), 0.5, false)
+}
+
+// FuzzAddUniform checks AddUniform against the Uniform loop on
+// arbitrary float64 inputs (8 bytes each), seeds and δ.
+func FuzzAddUniform(f *testing.F) {
+	f.Add(uint64(1), 0.5, false, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint64(7), 1e-300, true, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Fuzz(func(t *testing.T, seed uint64, delta float64, includeZeros bool, data []byte) {
+		src := make([]float64, len(data)/8)
+		for i := range src {
+			src[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		checkAddUniform(t, seed, src, delta, includeZeros)
+	})
+}
+
+// BenchmarkAddUniform compares the bulk loop with one Uniform call per
+// element on 2^18 values, half of them exact zeros.
+func BenchmarkAddUniform(b *testing.B) {
+	src := make([]float64, 1<<18)
+	r := New(5)
+	for i := range src {
+		if i%2 == 0 {
+			src[i] = r.Uniform(-1, 1)
+		}
+	}
+	dst := make([]float64, len(src))
+	b.Run("uniform-loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			uniformLoop(r, dst, src, 0.01, false)
+		}
+	})
+	b.Run("add-uniform", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.AddUniform(dst, src, 0.01, false)
+		}
+	})
 }

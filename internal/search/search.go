@@ -8,7 +8,8 @@
 //     every analyzable layer simultaneously and measure accuracy.
 //   - Scheme 2 (gaussian_approx): exploit that the output error is
 //     approximately Gaussian (Fig. 3 right) and inject N(0, σ²) into
-//     the logits only — much cheaper, one forward pass suffices.
+//     the logits only — much cheaper: the exact logits are computed
+//     once per search, and every probe only perturbs them.
 package search
 
 import (
@@ -180,28 +181,63 @@ func XiPlan(prof *profile.Profile, sigmaYL float64, xi []float64, r *rng.RNG) ma
 // EvaluateSigma measures the accuracy at a candidate σ_YŁ under the
 // chosen scheme, averaged over opts.Repeats noise realizations.
 //
-// Scheme 1 derives an independent injection plan per eval batch and
-// Scheme 2 an independent Gaussian stream per eval batch — pre-split
-// in batch order — so batches evaluate concurrently (opts.Workers)
-// with results bit-identical at every worker count.
+// Scheme 1 derives an independent injection plan per eval batch,
+// pre-split in batch order, so batches evaluate concurrently
+// (opts.Workers) with results bit-identical at every worker count.
+// Scheme 2 runs the exact forward pass the same way, then perturbs
+// each batch's logits with its own Gaussian stream, split in batch
+// order.
 func EvaluateSigma(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) float64 {
 	opts = opts.withDefaults(ds)
-	acc, err := evaluateSigma(context.Background(), exec.NewPool(net, opts.Workers, opts.Kernel), prof, ds, sigma, opts)
+	ctx := context.Background()
+	pool := exec.NewPool(net, opts.Workers, opts.Kernel)
+	var logits []*tensor.Tensor
+	var err error
+	if opts.Scheme == Scheme2Gaussian {
+		_, logits, err = exactPass(ctx, pool, ds, opts)
+	}
+	acc := 0.0
+	if err == nil {
+		acc, err = evaluateSigma(ctx, pool, prof, ds, sigma, opts, logits)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("search: %v", err)) // unreachable without ctx cancellation
 	}
 	return acc
 }
 
+// exactPass measures the noise-free accuracy on the eval subset. Under
+// Scheme 2 it also returns every eval batch's exact logits, which each
+// probe perturbs in place of a forward pass of its own. opts must
+// already be normalized.
+func exactPass(ctx context.Context, pool *exec.Pool, ds *dataset.Dataset, opts Options) (float64, []*tensor.Tensor, error) {
+	if opts.Scheme != Scheme2Gaussian {
+		acc, err := pool.Accuracy(ctx, ds, opts.EvalImages, opts.BatchSize, nil, nil)
+		return acc, nil, err
+	}
+	logits := make([]*tensor.Tensor, (evalImages(ds, opts)+opts.BatchSize-1)/opts.BatchSize)
+	acc, err := pool.Accuracy(ctx, ds, opts.EvalImages, opts.BatchSize, nil,
+		func(b int, l *tensor.Tensor) { logits[b] = l.Clone() })
+	return acc, logits, err
+}
+
+// evalImages is the eval subset size Pool.Accuracy uses for opts.
+func evalImages(ds *dataset.Dataset, opts Options) int {
+	if n := opts.EvalImages; n > 0 && n <= ds.Len() {
+		return n
+	}
+	return ds.Len()
+}
+
 // evaluateSigma is EvaluateSigma on a caller-owned pool, so a binary
 // search reuses one plan and one set of arena sessions across all its
-// probes. opts must already be normalized.
-func evaluateSigma(ctx context.Context, pool *exec.Pool, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) (float64, error) {
+// probes. Scheme 2 perturbs logits, the exact logits exactPass kept
+// for each eval batch, and runs no forward pass. opts must already be
+// normalized.
+func evaluateSigma(ctx context.Context, pool *exec.Pool, prof *profile.Profile, ds *dataset.Dataset,
+	sigma float64, opts Options, logits []*tensor.Tensor) (float64, error) {
 	r := rng.New(opts.Seed ^ math.Float64bits(sigma))
-	n := opts.EvalImages
-	if n <= 0 || n > ds.Len() {
-		n = ds.Len()
-	}
+	n := evalImages(ds, opts)
 	nBatches := (n + opts.BatchSize - 1) / opts.BatchSize
 	total := 0.0
 	for rep := 0; rep < opts.Repeats; rep++ {
@@ -217,16 +253,17 @@ func evaluateSigma(ctx context.Context, pool *exec.Pool, prof *profile.Profile, 
 			}
 			acc, err = pool.Accuracy(ctx, ds, n, opts.BatchSize, func(b int) map[int]nn.Injector { return plans[b] }, nil)
 		case Scheme2Gaussian:
-			streams := make([]*rng.RNG, nBatches)
-			for b := range streams {
-				streams[b] = r.Split()
-			}
-			acc, err = pool.Accuracy(ctx, ds, n, opts.BatchSize, nil, func(b int, logits *tensor.Tensor) {
-				rb := streams[b]
-				for i := range logits.Data {
-					logits.Data[i] += rb.NormalScaled(0, sigma)
+			hits := 0
+			for b, exact := range logits {
+				rb := r.Split()
+				noisy := exact.Clone()
+				for i := range noisy.Data {
+					noisy.Data[i] += rb.NormalScaled(0, sigma)
 				}
-			})
+				start := b * opts.BatchSize
+				hits += exec.Hits(noisy, ds.Labels[start:start+noisy.Shape[0]])
+			}
+			acc = float64(hits) / float64(n)
 		default:
 			panic(fmt.Sprintf("search: unknown scheme %v", opts.Scheme))
 		}
@@ -263,7 +300,7 @@ func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds 
 	defer ssp.End()
 	pool := exec.NewPool(net, opts.Workers, opts.Kernel)
 	_, esp := obs.Start(ctx, "search.exact")
-	exact, err := pool.Accuracy(ctx, ds, opts.EvalImages, opts.BatchSize, nil, nil)
+	exact, logits, err := exactPass(ctx, pool, ds, opts)
 	esp.End()
 	if err != nil {
 		return nil, fmt.Errorf("search: %w", err)
@@ -282,7 +319,7 @@ func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds 
 			return false, fmt.Errorf("search: %w", err)
 		}
 		pctx, psp := obs.Start(ctx, "search.probe", obs.KV("sigma", sigma))
-		acc, err := evaluateSigma(pctx, pool, prof, ds, sigma, opts)
+		acc, err := evaluateSigma(pctx, pool, prof, ds, sigma, opts, logits)
 		if err != nil {
 			psp.End()
 			return false, fmt.Errorf("search: %w", err)

@@ -8,6 +8,7 @@ import (
 
 	"mupod/internal/exec"
 	"mupod/internal/kernels"
+	"mupod/internal/obs"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
 	"mupod/internal/testnet"
@@ -107,6 +108,26 @@ func TestRunFindsSigmaWithinConstraint(t *testing.T) {
 		if res.Evaluations != len(res.Trace) {
 			t.Fatalf("trace/evaluation mismatch %d/%d", res.Evaluations, len(res.Trace))
 		}
+	}
+}
+
+// TestScheme2ForwardsOncePerSearch: Scheme 2 probes perturb the exact
+// logits the search kept, so a whole search runs ⌈EvalImages/BatchSize⌉
+// forward passes however many probes it makes.
+func TestScheme2ForwardsOncePerSearch(t *testing.T) {
+	net, _, te := testnet.Trained()
+	prof := sharedProfile(t)
+	m := exec.EnableMetrics(obs.NewRegistry())
+	defer exec.DisableMetrics()
+	res, err := Run(net, prof, te, Options{Scheme: Scheme2Gaussian, RelDrop: 0.05, EvalImages: 100, BatchSize: 32, Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations < 2 {
+		t.Fatalf("only %d probes; the test needs several", res.Evaluations)
+	}
+	if got := m.Forwards.Value(); got != 4 {
+		t.Fatalf("%d forward passes for %d probes, want 4 (one per eval batch)", got, res.Evaluations)
 	}
 }
 

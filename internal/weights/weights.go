@@ -137,9 +137,7 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 					private[worker] = make([]float64, w.Len())
 				}
 				pw := &tensor.Tensor{Shape: w.Shape, Data: private[worker][:w.Len()]}
-				for i, v := range w.Data {
-					pw.Data[i] = v + r.Uniform(-delta, delta)
-				}
+				r.AddUniform(pw.Data, w.Data, delta, true)
 				return with(pw), nil
 			}))
 	}
