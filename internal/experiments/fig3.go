@@ -71,13 +71,14 @@ func Fig3(ctx context.Context, a zoo.Arch, sigmas []float64, repeats int, o Opts
 		ExactAcc: exactAccuracy(ctx, l, o.EvalImages, o),
 	}
 	L := prof.NumLayers()
+	s1 := search.Options{Scheme: search.Scheme1Uniform, EvalImages: o.EvalImages, Repeats: repeats, Seed: o.Seed, Workers: o.Workers}
+	s2 := search.Options{Scheme: search.Scheme2Gaussian, EvalImages: o.EvalImages, Repeats: repeats, Seed: o.Seed, Workers: o.Workers}
+	equal := search.EvaluateSigmas(l.net, prof, l.test, sigmas, s1)
+	gauss := search.EvaluateSigmas(l.net, prof, l.test, sigmas, s2)
 
-	for _, sigma := range sigmas {
+	for i, sigma := range sigmas {
 		pt := Fig3Point{Sigma: sigma, CornerMin: 1, CornerMax: 0}
-		s1 := search.Options{Scheme: search.Scheme1Uniform, EvalImages: o.EvalImages, Repeats: repeats, Seed: o.Seed, Workers: o.Workers}
-		s2 := search.Options{Scheme: search.Scheme2Gaussian, EvalImages: o.EvalImages, Repeats: repeats, Seed: o.Seed, Workers: o.Workers}
-		pt.EqualScheme = search.EvaluateSigma(l.net, prof, l.test, sigma, s1)
-		pt.GaussianApprox = search.EvaluateSigma(l.net, prof, l.test, sigma, s2)
+		pt.EqualScheme, pt.GaussianApprox = equal[i], gauss[i]
 		_, _, sdRatio, _ := outputErrorHistogram(l, prof, sigma, o)
 		pt.SigmaRealized = sdRatio * sigma
 

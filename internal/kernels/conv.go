@@ -47,19 +47,22 @@ func pooled[T any](pool *sync.Pool, n int) *[]T {
 // 1×n image b, so each element is the same ascending-l FMA chain.
 func (be Backend) GEMM(m, n, k int, a, b, bias, c []float64) {
 	g := ConvGeom{H: 1, W: n, K: 1, Stride: 1, OH: 1, OW: n}
-	be.Conv(g, 1, k, m, b, a, bias, c)
+	be.Conv(g, 1, k, m, b, a, bias, c, false)
 }
 
 // Conv computes the convolution of x [batch, inC, H, W] with weights w
 // [outC, inC, K, K] and bias (nil for zero) into out [batch, outC, OH,
 // OW], overwriting it. Each output is bias[o] + Σ_l w[o][l]·col[l][p]
 // over its im2col column, padding zeros included, as one ascending-l
-// fused-multiply-add chain. The weights are packed once per call; each
-// image is padded once and counts as one GEMM in the dispatch counters
-// and spans. With 2+ workers the 256-pixel chunks of each image shard
-// across them.
-func (be Backend) Conv(g ConvGeom, batch, inC, outC int, x, w, bias, out []float64) {
+// fused-multiply-add chain. With relu set, the kernel applies the ReLU
+// epilogue to each sum before storing it (see ReLU), so out holds the
+// bits of the plain call followed by a ReLU pass. The weights are
+// packed once per call; each image is padded once and counts as one
+// GEMM in the dispatch counters and spans. With 2+ workers the
+// 256-pixel chunks of each image shard across them.
+func (be Backend) Conv(g ConvGeom, batch, inC, outC int, x, w, bias, out []float64, relu bool) {
 	cv := newConvCall(g, inC, outC, w, bias)
+	cv.relu = relu
 	imgIn, imgOut := inC*g.H*g.W, outC*cv.n
 	for i := 0; i < batch; i++ {
 		be.convImage(&cv, x[i*imgIn:(i+1)*imgIn], out[i*imgOut:(i+1)*imgOut])
@@ -81,6 +84,7 @@ type convCall struct {
 	// multiple of 4 by repeating its last entry. Both ascend.
 	loff, off *[]int
 	xp        *[]float64 // the padded image; nil when Pad is 0
+	relu      bool       // apply the ReLU epilogue before each store
 }
 
 // newConvCall packs the weights and builds the offset tables into the
@@ -206,12 +210,16 @@ func (be Backend) convImage(cv *convCall, x, out []float64) {
 // last outC mod 8 channels or n mod 4 pixels) runs the same kernel into
 // a stack tile, of which the valid part is copied out: its packed
 // weight rows are zero and its spare pixels repeat the last offset, so
-// every read stays in bounds. k = 0 leaves the bias.
+// every read stays in bounds. k = 0 leaves the bias, through the
+// epilogue when relu is set.
 func (cv *convCall) tiles(x, c []float64, j0, j1 int) {
 	k, n, blk, wpAll := cv.k, cv.n, (cv.k+1)*8, *cv.wp
 	if k == 0 {
 		for o := 0; o < cv.outC; o++ {
 			v := wpAll[o/8*blk+o%8]
+			if cv.relu {
+				v = ReLU(v)
+			}
 			for j := j0; j < j1; j++ {
 				c[o*n+j] = v
 			}
@@ -231,10 +239,10 @@ func (cv *convCall) tiles(x, c []float64, j0, j1 int) {
 			wp := wpAll[r0/8*blk:][:blk]
 			rows := min(8, cv.outC-r0)
 			if rows == 8 && cols == 4 {
-				convTile(k, wp, xs, loff, off, c[r0*n+j:(r0+7)*n+j+4], n)
+				convTile(k, wp, xs, loff, off, c[r0*n+j:(r0+7)*n+j+4], n, cv.relu)
 				continue
 			}
-			convTile(k, wp, xs, loff, off, tile[:], 4)
+			convTile(k, wp, xs, loff, off, tile[:], 4, cv.relu)
 			for r := 0; r < rows; r++ {
 				copy(c[(r0+r)*n+j:][:cols], tile[4*r:])
 			}

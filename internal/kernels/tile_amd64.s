@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func convTile(k int, wp, x []float64, loff, off []int, c []float64, n int)
+// func convTile(k int, wp, x []float64, loff, off []int, c []float64, n int, relu bool)
 //
 // 8 output channels × 4 output pixels. Y0..Y7 each hold 4 channels of
 // one pixel: Y(2t) channels 0..3 and Y(2t+1) channels 4..7 of pixel t,
@@ -10,10 +10,11 @@
 // loads the 8 packed weights of l (two 32-byte loads) and loff[l] once,
 // broadcasts x[loff[l]+off[t]] for the 4 pixels, and does one
 // VFMADD231PD per accumulator, so every lane runs the Go body's chain
-// acc = FMA(w, x, acc). Two 4×4 transposes then store 8 rows of 4
-// pixels at stride n. The Go caller has checked every range read or
-// written, and k ≥ 1.
-TEXT ·convTile(SB), NOSPLIT, $0-136
+// acc = FMA(w, x, acc). With relu set, the epilogue then takes
+// VMAXPD(acc, +0) of each accumulator. Two 4×4 transposes then store 8
+// rows of 4 pixels at stride n. The Go caller has checked every range
+// read or written, and k ≥ 1.
+TEXT ·convTile(SB), NOSPLIT, $0-137
 	MOVQ k+0(FP), CX
 	MOVQ wp_base+8(FP), BX
 	MOVQ x_base+32(FP), SI
@@ -63,6 +64,23 @@ loop:
 	DECQ         CX
 	JNZ          loop
 
+	// The ReLU epilogue. VMAXPD returns its first source when that is
+	// greater and its second otherwise, so a lane keeps acc > +0 and
+	// takes Y8's +0 when acc is ≤ 0, −0 or NaN: kernels.ReLU's bits. A
+	// lane-wise max commutes with the transposes below.
+	CMPB relu+136(FP), $0
+	JEQ  store
+	VXORPD Y8, Y8, Y8
+	VMAXPD Y8, Y0, Y0
+	VMAXPD Y8, Y1, Y1
+	VMAXPD Y8, Y2, Y2
+	VMAXPD Y8, Y3, Y3
+	VMAXPD Y8, Y4, Y4
+	VMAXPD Y8, Y5, Y5
+	VMAXPD Y8, Y6, Y6
+	VMAXPD Y8, Y7, Y7
+
+store:
 	// Row strides in bytes: R11 = 8n, R13 = 3·8n.
 	SHLQ $3, R11
 	LEAQ (R11)(R11*2), R13

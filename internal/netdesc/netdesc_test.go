@@ -2,6 +2,7 @@ package netdesc
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -131,6 +132,22 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(strings.NewReader(desc)); err == nil {
 			t.Errorf("%s: parse accepted invalid input", name)
 		}
+	}
+}
+
+// TestParseRejectsCollapsingDWConv: a depthwise conv whose window does
+// not fit its input is a parse error, not a network with a [3 0 0] or
+// [3 -2 -2] output.
+func TestParseRejectsCollapsingDWConv(t *testing.T) {
+	for _, k := range []int{3, 5} {
+		desc := fmt.Sprintf("network a input=3x2x2 classes=2 seed=1\ndwconv d in=input c=3 k=%d\nrelu r in=d\n", k)
+		_, err := Parse(strings.NewReader(desc))
+		if err == nil || !strings.Contains(err.Error(), "dwconv output collapses") {
+			t.Fatalf("k=%d: err = %v, want the collapse error", k, err)
+		}
+	}
+	if _, err := Parse(strings.NewReader("network a input=3x2x2 classes=2 seed=1\ndwconv d in=input c=3 k=3 pad=1\n")); err != nil {
+		t.Fatalf("padded dwconv on 2×2: %v", err)
 	}
 }
 

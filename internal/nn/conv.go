@@ -174,6 +174,9 @@ func (d *DepthwiseConv2D) OutShape(in [][]int) []int {
 	}
 	oh := (s[2]+2*d.Pad-d.K)/d.Stride + 1
 	ow := (s[3]+2*d.Pad-d.K)/d.Stride + 1
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: dwconv output collapses: in %v k=%d s=%d p=%d", s, d.K, d.Stride, d.Pad))
+	}
 	return []int{s[0], d.C, oh, ow}
 }
 

@@ -1,8 +1,7 @@
 package nn
 
 import (
-	"math"
-
+	"mupod/internal/kernels"
 	"mupod/internal/tensor"
 )
 
@@ -22,7 +21,10 @@ import (
 // the benchmark harness's per-node timing passes it.
 //
 // Layers whose math lives in internal/kernels implement
-// BackendForwarder instead.
+// BackendForwarder instead. ReLU is one of these layers, but
+// internal/exec's pooled passes skip its ForwardInto where it is the
+// only consumer of a conv or depthwise conv: the kernel applies the
+// same mask at its store (ForwardReLUOn).
 type IntoForwarder interface {
 	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
 }
@@ -35,49 +37,21 @@ func (Flatten) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []f
 }
 
 // ForwardInto implements IntoForwarder: v > 0 keeps v and anything
-// else (−0 and NaN included) gives +0, selected with an integer mask
-// because a branch on the sign of noisy activations mispredicts.
+// else (−0 and NaN included) gives +0, kernels.ReLU's bits, which the
+// conv and depthwise kernels' ReLU epilogue applies too.
 func (ReLU) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("relu", ins, 1)
 	x := ins[0].Data
 	o := out.Data[:len(x)]
 	for i, v := range x {
-		o[i] = math.Float64frombits(math.Float64bits(v) & -b2u(v > 0))
+		o[i] = kernels.ReLU(v)
 	}
 	return scratch
 }
 
-// b2u returns 1 for true and 0 for false. The compiler lowers it to a
-// flag set, so a mask -b2u(cond) selects without a branch.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// maxPoolPlane pools one [H, W] plane starting at x[base] into
-// out[oBase:]; shared by the serial and fanned pooling paths. A value
-// replaces the best so far only when v > best, selected with a mask:
-// NaN never wins and the first of equal values (+0 before −0) stays.
-func maxPoolPlane(x, out []float64, base, oBase, w, oh, ow, k, stride int) {
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			best := math.Inf(-1)
-			for kh := 0; kh < k; kh++ {
-				row := base + (oy*stride+kh)*w + ox*stride
-				for kw := 0; kw < k; kw++ {
-					v := x[row+kw]
-					m := -b2u(v > best)
-					best = math.Float64frombits(math.Float64bits(v)&m | math.Float64bits(best)&^m)
-				}
-			}
-			out[oBase+oy*ow+ox] = best
-		}
-	}
-}
-
-// avgPoolPlane is maxPoolPlane's mean-pooling twin.
+// avgPoolPlane pools one [H, W] plane starting at x[base] into
+// out[oBase:], each output the window's row-major sum times inv; shared
+// by the serial and fanned pooling paths.
 func avgPoolPlane(x, out []float64, base, oBase, w, oh, ow, k, stride int, inv float64) {
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {

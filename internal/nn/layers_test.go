@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mupod/internal/kernels"
@@ -92,6 +94,26 @@ func TestConvPanics(t *testing.T) {
 		c := NewConv2D(1, 1, 5, 1, 0)
 		c.OutShape([][]int{{1, 1, 3, 3}}) // collapses
 	})
+}
+
+// TestDepthwiseCollapsePanics: a depthwise window that does not fit
+// the padded input panics, as conv and pooling windows do, rather than
+// giving a [3 0 0] or [3 -2 -2] output shape.
+func TestDepthwiseCollapsePanics(t *testing.T) {
+	for _, k := range []int{3, 5} {
+		d := NewDepthwiseConv2D(3, k, 1, 0)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "nn: dwconv output collapses") {
+					t.Fatalf("k=%d on a 2×2 input: recovered %v, want the collapse panic", k, r)
+				}
+			}()
+			d.OutShape([][]int{{1, 3, 2, 2}})
+		}()
+	}
+	if got := NewDepthwiseConv2D(3, 3, 1, 1).OutShape([][]int{{1, 3, 2, 2}}); fmt.Sprint(got) != "[1 3 2 2]" {
+		t.Fatalf("padded 3×3 dwconv on 2×2: shape %v", got)
+	}
 }
 
 func TestDepthwiseForward(t *testing.T) {

@@ -178,16 +178,19 @@ func XiPlan(prof *profile.Profile, sigmaYL float64, xi []float64, r *rng.RNG) ma
 	return plan
 }
 
-// EvaluateSigma measures the accuracy at a candidate σ_YŁ under the
-// chosen scheme, averaged over opts.Repeats noise realizations.
+// EvaluateSigmas measures the accuracy at each candidate σ_YŁ in
+// sigmas under the chosen scheme, averaged over opts.Repeats noise
+// realizations, on one evaluation pool. Each σ seeds its own noise
+// stream from opts.Seed and the bits of σ, so its value does not
+// depend on the other σs in the call.
 //
 // Scheme 1 derives an independent injection plan per eval batch,
 // pre-split in batch order, so batches evaluate concurrently
 // (opts.Workers) with results bit-identical at every worker count.
-// Scheme 2 runs the exact forward pass the same way, then perturbs
-// each batch's logits with its own Gaussian stream, split in batch
-// order.
-func EvaluateSigma(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) float64 {
+// Scheme 2 runs the exact forward pass the same way once for all σs,
+// then perturbs each batch's logits with its own Gaussian stream,
+// split in batch order.
+func EvaluateSigmas(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, sigmas []float64, opts Options) []float64 {
 	opts = opts.withDefaults(ds)
 	ctx := context.Background()
 	pool := exec.NewPool(net, opts.Workers, opts.Kernel)
@@ -196,14 +199,14 @@ func EvaluateSigma(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, 
 	if opts.Scheme == Scheme2Gaussian {
 		_, logits, err = exactPass(ctx, pool, ds, opts)
 	}
-	acc := 0.0
-	if err == nil {
-		acc, err = evaluateSigma(ctx, pool, prof, ds, sigma, opts, logits)
+	accs := make([]float64, len(sigmas))
+	for i := 0; i < len(sigmas) && err == nil; i++ {
+		accs[i], err = evaluateSigma(ctx, pool, prof, ds, sigmas[i], opts, logits)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("search: %v", err)) // unreachable without ctx cancellation
 	}
-	return acc
+	return accs
 }
 
 // exactPass measures the noise-free accuracy on the eval subset. Under
@@ -229,11 +232,11 @@ func evalImages(ds *dataset.Dataset, opts Options) int {
 	return ds.Len()
 }
 
-// evaluateSigma is EvaluateSigma on a caller-owned pool, so a binary
-// search reuses one plan and one set of arena sessions across all its
-// probes. Scheme 2 perturbs logits, the exact logits exactPass kept
-// for each eval batch, and runs no forward pass. opts must already be
-// normalized.
+// evaluateSigma measures one σ on a caller-owned pool, so a binary
+// search or an EvaluateSigmas call reuses one plan and one set of
+// arena sessions across all its probes. Scheme 2 perturbs logits, the
+// exact logits exactPass kept for each eval batch, and runs no forward
+// pass. opts must already be normalized.
 func evaluateSigma(ctx context.Context, pool *exec.Pool, prof *profile.Profile, ds *dataset.Dataset,
 	sigma float64, opts Options, logits []*tensor.Tensor) (float64, error) {
 	r := rng.New(opts.Seed ^ math.Float64bits(sigma))

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -55,8 +56,7 @@ func TestAccuracyMonotoneInSigmaScheme2(t *testing.T) {
 	opts := Options{Scheme: Scheme2Gaussian, EvalImages: te.Len(), Repeats: 3, Seed: 1}
 	prev := 1.1
 	violations := 0
-	for _, sigma := range []float64{0.1, 1, 4, 16, 64} {
-		acc := EvaluateSigma(net, prof, te, sigma, opts)
+	for _, acc := range EvaluateSigmas(net, prof, te, []float64{0.1, 1, 4, 16, 64}, opts) {
 		if acc > prev+0.03 { // allow tiny evaluation noise
 			violations++
 		}
@@ -74,8 +74,8 @@ func TestSchemesAgreeQualitatively(t *testing.T) {
 	prof := sharedProfile(t)
 	for _, scheme := range []Scheme{Scheme1Uniform, Scheme2Gaussian} {
 		opts := Options{Scheme: scheme, EvalImages: 120, Seed: 2}
-		hi := EvaluateSigma(net, prof, te, 1e-4, opts)
-		lo := EvaluateSigma(net, prof, te, 256, opts)
+		accs := EvaluateSigmas(net, prof, te, []float64{1e-4, 256}, opts)
+		hi, lo := accs[0], accs[1]
 		if hi < 0.7 {
 			t.Errorf("%v: accuracy at tiny σ = %v", scheme, hi)
 		}
@@ -99,9 +99,9 @@ func TestRunFindsSigmaWithinConstraint(t *testing.T) {
 			t.Fatalf("%v: σ = %v", scheme, res.SigmaYL)
 		}
 		// The found σ must satisfy the constraint when re-evaluated.
-		acc := EvaluateSigma(net, prof, te, res.SigmaYL, Options{
+		acc := EvaluateSigmas(net, prof, te, []float64{res.SigmaYL}, Options{
 			Scheme: scheme, EvalImages: 120, Seed: 4,
-		})
+		})[0]
 		if acc < res.TargetAcc-0.05 {
 			t.Fatalf("%v: σ=%v gives %v, target %v", scheme, res.SigmaYL, acc, res.TargetAcc)
 		}
@@ -128,6 +128,30 @@ func TestScheme2ForwardsOncePerSearch(t *testing.T) {
 	}
 	if got := m.Forwards.Value(); got != 4 {
 		t.Fatalf("%d forward passes for %d probes, want 4 (one per eval batch)", got, res.Evaluations)
+	}
+}
+
+// TestEvaluateSigmasSharesOneExactPass: a 3-σ Scheme 2 call runs
+// ⌈EvalImages/BatchSize⌉ forward passes, one exact pass for all three
+// σs, and each value equals that σ evaluated alone, as under Scheme 1.
+func TestEvaluateSigmasSharesOneExactPass(t *testing.T) {
+	net, _, te := testnet.Trained()
+	prof := sharedProfile(t)
+	sigmas := []float64{0.5, 2, 8}
+	for _, scheme := range []Scheme{Scheme1Uniform, Scheme2Gaussian} {
+		opts := Options{Scheme: scheme, EvalImages: 100, BatchSize: 32, Repeats: 2, Seed: 7, Workers: 2}
+		m := exec.EnableMetrics(obs.NewRegistry())
+		accs := EvaluateSigmas(net, prof, te, sigmas, opts)
+		forwards := m.Forwards.Value()
+		exec.DisableMetrics()
+		if scheme == Scheme2Gaussian && forwards != 4 {
+			t.Fatalf("%v: %d forward passes for %d σs, want 4 (one per eval batch)", scheme, forwards, len(sigmas))
+		}
+		for i, sigma := range sigmas {
+			if alone := EvaluateSigmas(net, prof, te, []float64{sigma}, opts)[0]; math.Float64bits(alone) != math.Float64bits(accs[i]) {
+				t.Fatalf("%v σ=%v: %v in a 3-σ call, %v alone", scheme, sigma, accs[i], alone)
+			}
+		}
 	}
 }
 
