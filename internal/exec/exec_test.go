@@ -217,7 +217,9 @@ func TestSessionReplayDoesNotMutateCache(t *testing.T) {
 // override: replaying node K with a shallow copy of its layer holding
 // perturbed weights (with and without input noise) is bit-identical to
 // the forward pass of the network whose weights were overwritten in
-// place, and leaves the shared network's weights untouched.
+// place, and leaves the shared network's weights untouched. The
+// reference runs on a Plan built after the write, since a Plan packs
+// the conv weights it was built on (see exec.Plan).
 func TestSessionReplayOverrideMatchesOverwrittenNet(t *testing.T) {
 	for name, tc := range replayFixtures() {
 		t.Run(name, func(t *testing.T) {
@@ -246,7 +248,7 @@ func TestSessionReplayOverrideMatchesOverwrittenNet(t *testing.T) {
 						plan = map[int]nn.Injector{id: fn}
 					}
 					copy(w.Data, perturbed.Data)
-					want := sess.Forward(tc.x, plan)
+					want := exec.NewSession(exec.NewPlan(tc.net)).Forward(tc.x, plan)
 					copy(w.Data, saved)
 					sameBits(t, fmt.Sprintf("node %d trial %d", id, trial), got.Data, want.Data)
 				}
@@ -487,6 +489,69 @@ func TestConcurrentSessionsShareOnePlan(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestSessionsSharePlanPacksUnderParallelPolicy is the race-detector
+// coverage of the Plan's packs: two Sessions on the parallel policy
+// with 2 intra-op workers run exact and injected Forwards and Replays
+// from every analyzable node at once, on one Plan. The 18×18 conv
+// shards each image's two pixel chunks and the depthwise conv its
+// plane groups across goroutines, all reading one pack. Every result
+// equals a lone Session's bit for bit.
+func TestSessionsSharePlanPacksUnderParallelPolicy(t *testing.T) {
+	net := nn.NewNetwork("wide", []int{3, 18, 18}, 4)
+	r := rng.New(9)
+	c1 := nn.NewConv2D(3, 8, 3, 1, 1)
+	c1.InitHe(r, 1)
+	x := net.AddNode("conv1", c1, 0)
+	x = net.AddNode("relu1", nn.ReLU{}, x)
+	dw := nn.NewDepthwiseConv2D(8, 3, 1, 1)
+	dw.InitHe(r, 1)
+	x = net.AddNode("dwconv", dw, x)
+	x = net.AddNode("relu2", nn.ReLU{}, x)
+	x = net.AddNode("pool", nn.NewMaxPool2D(2, 2), x)
+	c2 := nn.NewConv2D(8, 4, 3, 1, 1)
+	c2.InitHe(r, 1)
+	x = net.AddNode("conv2", c2, x)
+	net.AddNode("gap", nn.GlobalAvgPool{}, x)
+
+	in := tensor.New(4, 3, 18, 18)
+	for i := range in.Data {
+		in.Data[i] = r.Uniform(-1, 1)
+	}
+	acts := net.ForwardAll(in)
+	pol := kernels.Policy{Impl: "parallel", IntraWorkers: 2}
+	plan := exec.NewPlan(net)
+	ids := net.AnalyzableNodes()
+	noise := func(id int) nn.Injector { return profile.UniformInjector(rng.New(uint64(id)), 0.05, false) }
+	run := func(s *exec.Session) [][]float64 {
+		out := [][]float64{s.Forward(in, nil).Clone().Data}
+		for _, id := range ids {
+			out = append(out,
+				s.Forward(in, map[int]nn.Injector{id: noise(id)}).Clone().Data,
+				s.Replay(acts, id, nil, noise(id)).Clone().Data)
+		}
+		return out
+	}
+	want := run(exec.NewSessionPolicy(plan, pol))
+	var wg sync.WaitGroup
+	got := make([][][]float64, 2)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := exec.NewSessionPolicy(plan, pol)
+			for rep := 0; rep < 3; rep++ {
+				got[g] = run(s)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range want {
+			sameBits(t, fmt.Sprintf("session %d pass %d", g, i), got[g][i], want[i])
+		}
 	}
 }
 

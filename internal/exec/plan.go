@@ -3,17 +3,19 @@
 // Only the cached exact activations a replay starts from come from the
 // allocating nn.Network.ForwardAll. Four pieces compose:
 //
-//   - Plan: per-network metadata computed once — the downstream
-//     dirty-set of every node (which suffix nodes a perturbation at K
-//     actually reaches), per-node output sizes, and the fused pairs —
-//     so each of the thousands of profiling replays recomputes exactly
-//     the nodes the perturbation reaches.
+//   - Plan: per-network state computed once — the downstream dirty-set
+//     of every node (which suffix nodes a perturbation at K actually
+//     reaches), per-node output sizes, the fused pairs, and each conv
+//     and depthwise conv node's packed weights and index tables — so
+//     each of the thousands of profiling replays recomputes exactly the
+//     nodes the perturbation reaches, and packs none of them.
 //   - Session: reusable activation arenas and the two passes, Forward
 //     (a full pass with an optional per-node injection plan) and Replay
 //     (the suffix after one perturbed node, from cached exact
 //     activations). Each node writes into a pooled tensor through
 //     nn.ForwardLayer on the session's kernel backend instead of
-//     allocating. A fused pair, a conv or depthwise conv whose only
+//     allocating; a conv or depthwise conv node runs its own layer from
+//     the Plan's pack. A fused pair, a conv or depthwise conv whose only
 //     consumer is a ReLU, runs as one step: the kernel applies the
 //     ReLU at its store and writes the ReLU node's buffer, so the
 //     conv's own output is never materialized and no separate ReLU
@@ -33,15 +35,24 @@ import (
 	"mupod/internal/tensor"
 )
 
-// reluFuser is implemented by the layers whose kernel applies ReLU at
-// its store, *nn.Conv2D and *nn.DepthwiseConv2D: ForwardReLUOn gives
-// the bits of the layer followed by nn.ReLU in one kernel call.
-type reluFuser interface {
-	ForwardReLUOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor)
+// packer is implemented by the layers whose kernel runs from packed
+// weights and applies ReLU at its store, *nn.Conv2D and
+// *nn.DepthwiseConv2D: ForwardPackedOn with relu set gives the bits of
+// the layer followed by nn.ReLU in one kernel call.
+type packer interface {
+	Pack(in []int) kernels.Pack
+	ForwardPackedOn(be kernels.Backend, pk kernels.Pack, ins []*tensor.Tensor, out *tensor.Tensor, relu bool)
 }
 
-// Plan is immutable per-network execution metadata, built once and
-// shared by any number of concurrent Sessions.
+// Plan is immutable per-network execution state, built once and shared
+// by any number of concurrent Sessions.
+//
+// A Plan is a snapshot of the network's conv weights: NewPlan packs
+// each conv and depthwise conv node's layer once, and every pass runs
+// the node from that pack. The network's weights must therefore only be
+// read during a Plan's life. Build the Plan after the last in-place
+// write (weights.Allocation.Apply, training); a later write would reach
+// the dense layers and not the packed ones.
 type Plan struct {
 	net *nn.Network
 
@@ -58,9 +69,14 @@ type Plan struct {
 	// elsewhere (node 0, the input, is never fused). r's only input is
 	// then c, so r is fused exactly when relu[r's Inputs[0]] = r.
 	relu []int
+
+	// packs[id] is node id's own layer packed for its input shape when
+	// the layer is a packer, and nil elsewhere. Packs are only read.
+	packs []kernels.Pack
 }
 
-// NewPlan analyzes net and precomputes its replay metadata.
+// NewPlan analyzes net, precomputes its replay metadata and packs its
+// conv and depthwise conv layers.
 func NewPlan(net *nn.Network) *Plan {
 	n := len(net.Nodes)
 	p := &Plan{
@@ -68,6 +84,7 @@ func NewPlan(net *nn.Network) *Plan {
 		downstream: make([][]int, n),
 		outSize:    make([]int, n),
 		relu:       make([]int, n),
+		packs:      make([]kernels.Pack, n),
 	}
 	consumers := make([]int, n)
 	for id, nd := range net.Nodes {
@@ -79,6 +96,9 @@ func NewPlan(net *nn.Network) *Plan {
 		for _, in := range nd.Inputs {
 			consumers[in]++
 		}
+		if l, ok := nd.Layer.(packer); ok {
+			p.packs[id] = l.Pack(net.Nodes[nd.Inputs[0]].Shape)
+		}
 	}
 	// Fuse node c with r when c's layer applies the ReLU epilogue, r is
 	// its only consumer, and r is a one-input ReLU.
@@ -87,7 +107,7 @@ func NewPlan(net *nn.Network) *Plan {
 			continue
 		}
 		c := nd.Inputs[0]
-		if _, ok := net.Nodes[c].Layer.(reluFuser); ok && consumers[c] == 1 {
+		if p.packs[c] != nil && consumers[c] == 1 {
 			p.relu[c] = nd.ID
 		}
 	}

@@ -18,17 +18,20 @@ import (
 // any before it reallocates. Dense math runs on the kernel backend the
 // Session was created with (see kernels.Policy).
 //
-// Each pair the Plan fuses, a conv or depthwise conv whose only
-// consumer is a one-input ReLU, runs as one kernel call with the ReLU
-// epilogue into the ReLU node's buffer, with the bits of the two layers
-// run apart. The conv's own output is not kept: the node gets no
-// buffer. A pair runs unfused when its ReLU is injected, when a Replay
-// starts at the ReLU (from the cached conv output), and when a Replay
-// starts at the conv with a layer that has no epilogue.
+// A conv or depthwise conv node runs its own layer from the Plan's pack;
+// a layer substituted for it in Replay is packed for that call. Each
+// pair the Plan fuses, a conv or depthwise conv whose only consumer is
+// a one-input ReLU, runs as one kernel call with the ReLU epilogue into
+// the ReLU node's buffer, with the bits of the two layers run apart.
+// The conv's own output is not kept: the node gets no buffer. A pair
+// runs unfused when its ReLU is injected, when a Replay starts at the
+// ReLU (from the cached conv output), and when a Replay starts at the
+// conv with a layer that has no epilogue.
 //
 // A Session is NOT safe for concurrent use; create one per worker
-// goroutine. Any number of Sessions may share one Plan — the Plan and
-// the underlying Network (weights included) are only read.
+// goroutine. Any number of Sessions may share one Plan — the Plan, its
+// packs and the underlying Network (weights included) are only read,
+// and must stay unwritten while the Plan is in use (see Plan).
 //
 // Tensors returned by Forward and Replay are owned by the Session and
 // overwritten (data and batch dimension) by its next call: consume (or
@@ -128,23 +131,28 @@ func (s *Session) gather(nd *nn.Node) []*tensor.Tensor {
 }
 
 // step executes node id with layer l on ins on the session's kernel
-// backend and records the result in cur. When fuse is set, the plan
-// fuses id with ReLU node r, and l applies the ReLU epilogue, it writes
-// the fused result into r's pooled buffer as cur[r] and reports true;
-// otherwise it writes id's own.
-func (s *Session) step(l nn.Layer, id int, ins []*tensor.Tensor, batch int, fuse bool) bool {
-	if r := s.plan.relu[id]; r != 0 && fuse {
-		if f, ok := l.(reluFuser); ok {
-			out := s.buf(r, batch)
-			f.ForwardReLUOn(s.be, ins, out)
-			s.cur[r] = out
-			return true
-		}
+// backend and records the result in cur. A packer runs from pk, the
+// Plan's pack of l or nil to pack per call. When fuse is set, the plan
+// fuses id with ReLU node r, and l is a packer, it writes the fused
+// result into r's pooled buffer as cur[r] and reports true; otherwise
+// it writes id's own.
+func (s *Session) step(l nn.Layer, pk kernels.Pack, id int, ins []*tensor.Tensor, batch int, fuse bool) bool {
+	f, ok := l.(packer)
+	if !ok {
+		out := s.buf(id, batch)
+		nn.ForwardLayer(s.be, l, ins, out)
+		s.cur[id] = out
+		return false
 	}
-	out := s.buf(id, batch)
-	nn.ForwardLayer(s.be, l, ins, out)
-	s.cur[id] = out
-	return false
+	fused := fuse && s.plan.relu[id] != 0
+	dst := id
+	if fused {
+		dst = s.plan.relu[id]
+	}
+	out := s.buf(dst, batch)
+	f.ForwardPackedOn(s.be, pk, ins, out, fused)
+	s.cur[dst] = out
+	return fused
 }
 
 // Forward runs a full forward pass of x and returns the logits (owned
@@ -172,7 +180,7 @@ func (s *Session) Forward(x *tensor.Tensor, inject map[int]nn.Injector) *tensor.
 			ins[0] = s.inject(nd.ID, fn, ins[0])
 		}
 		_, reluInjected := inject[p.relu[nd.ID]]
-		s.step(nd.Layer, nd.ID, ins, batch, !reluInjected)
+		s.step(nd.Layer, p.packs[nd.ID], nd.ID, ins, batch, !reluInjected)
 	}
 	s.flushStats()
 	return s.cur[len(net.Nodes)-1]
@@ -186,10 +194,11 @@ func (s *Session) Forward(x *tensor.Tensor, inject map[int]nn.Injector) *tensor.
 // profiling affordable: injecting at layer K costs only the K..Ł
 // suffix. Weight profiling passes a shallow copy of the node's layer
 // holding worker-private perturbed weights, so the shared network is
-// only read. A nil layer keeps the node's own; a nil inject leaves the
-// node's input exact. acts is only read. Fused pairs in the suffix run
-// as one step, the node itself too when the layer it runs applies the
-// ReLU epilogue.
+// only read. A nil layer keeps the node's own, run from the Plan's pack;
+// another layer is packed for the call. A nil inject leaves the node's
+// input exact. acts is only read. Fused pairs in the suffix run as one
+// step, the node itself too when the layer it runs applies the ReLU
+// epilogue.
 func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, layer nn.Layer, inject nn.Injector) *tensor.Tensor {
 	p, net := s.plan, s.plan.net
 	if nodeID <= 0 || nodeID >= len(net.Nodes) {
@@ -203,17 +212,20 @@ func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, layer nn.Layer, inje
 	if inject != nil {
 		ins[0] = s.inject(nodeID, inject, ins[0])
 	}
+	pk := p.packs[nodeID]
 	if layer == nil {
 		layer = nd.Layer
+	} else {
+		pk = nil // a substitute packs for the call
 	}
-	fused := s.step(layer, nodeID, ins, batch, true)
+	fused := s.step(layer, pk, nodeID, ins, batch, true)
 
 	for _, id := range p.downstream[nodeID] {
 		node := net.Nodes[id]
 		if c := node.Inputs[0]; p.relu[c] == id && (c != nodeID || fused) {
 			continue // computed with its conv
 		}
-		s.step(node.Layer, id, s.gather(node), batch, true)
+		s.step(node.Layer, p.packs[id], id, s.gather(node), batch, true)
 	}
 	s.flushStats()
 	return s.cur[len(net.Nodes)-1]

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -56,32 +57,46 @@ func runShards(workers, units int, f func(u int)) {
 // out-of-range taps arithmetically instead of per pixel keeps the
 // included terms and their order those of a bounds-checked loop. With
 // relu set, each sum passes through the ReLU epilogue before its store.
-// With 2+ workers the planes shard in groups of four.
+// It packs as PackDW does and runs the pack as RunPack does; with 2+
+// workers the planes shard in groups of four.
 func (be Backend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out []float64, relu bool) {
-	countDispatch(be.impl, opDWConv)
-	planes := batch * channels
-	dw := newDWCall(g, channels, w, bias, relu)
-	if be.workers < 2 || planes < 2 || planes*g.OH*g.OW*g.K*g.K < minParallelMACs {
-		dw.planes(x, out, 0, planes)
-	} else {
-		shared := dw // a copy, so only this path moves call state to the heap
-		runShards(be.workers, (planes+3)/4, func(u int) {
-			shared.planes(x, out, 4*u, min(4*u+4, planes))
-		})
-	}
+	dw := newDWPack(g, channels, w, bias, true)
+	dw.run(be, batch, x, out, relu)
 	dw.release()
 }
 
-// dwCall is the per-call state of DWConv. The x86-64-v3 body also
-// holds its lane table and tap list there (dwconv_amd64.go); the Go
-// body leaves them nil.
-type dwCall struct {
+// PackDW prepares a depthwise conv's weights w [channels, K, K] and
+// bias (nil for zero) for inputs of geometry g, as DWConv does per
+// call; RunPack then gives DWConv's bits. The Go body reads the weights
+// in place, so the pack keeps its own copy of them.
+func PackDW(g ConvGeom, channels int, w, bias []float64) Pack {
+	dw := newDWPack(g, channels, slices.Clone(w), slices.Clone(bias), false)
+	return &dw
+}
+
+// dwPack is the depthwise kernel's prepared state. The x86-64-v3 body
+// also holds its lane table and tap list there (dwconv_amd64.go); the
+// Go body leaves them nil and reads w and bias.
+type dwPack struct {
 	g        ConvGeom
 	channels int
 	w, bias  []float64
-	relu     bool
 	lanes    *[]float64
 	taps     *[]int
+}
+
+// run computes DWConv over the batch from the pack.
+func (d *dwPack) run(be Backend, batch int, x, out []float64, relu bool) {
+	countDispatch(be.impl, opDWConv)
+	g, planes := d.g, batch*d.channels
+	if be.workers < 2 || planes < 2 || planes*g.OH*g.OW*g.K*g.K < minParallelMACs {
+		d.planes(x, out, 0, planes, relu)
+		return
+	}
+	shared := *d // a copy, so only this path moves pack state to the heap
+	runShards(be.workers, (planes+3)/4, func(u int) {
+		shared.planes(x, out, 4*u, min(4*u+4, planes), relu)
+	})
 }
 
 // dwconvHoisted is the Go body of DWConv: it computes channel planes
@@ -140,15 +155,15 @@ func dwconvHoisted(g ConvGeom, p0, p1, channels int, x, w, bias, out []float64, 
 func (be Backend) MaxPool(g ConvGeom, planes int, x, out []float64) {
 	countDispatch(be.impl, opFan)
 	if be.workers < 2 || planes < 2 {
-		maxPoolPlanes(g, 0, planes, x, out)
+		maxPool(g, 0, planes, x, out)
 		return
 	}
-	runShards(be.workers, planes, func(p int) { maxPoolPlanes(g, p, p+1, x, out) })
+	runShards(be.workers, planes, func(p int) { maxPool(g, p, p+1, x, out) })
 }
 
-// maxPoolPlanes computes MaxPool over planes [p0, p1), at every
-// GOAMD64 level: the running max is selected with a mask, since a
-// branch on noisy activations mispredicts.
+// maxPoolPlanes is the Go body of MaxPool over planes [p0, p1): the
+// running max is selected with a mask, since a branch on noisy
+// activations mispredicts.
 func maxPoolPlanes(g ConvGeom, p0, p1 int, x, out []float64) {
 	for p := p0; p < p1; p++ {
 		base, oBase := p*g.H*g.W, p*g.OH*g.OW

@@ -1,14 +1,21 @@
 // Package kernels is the compute layer under every forward pass: the
 // dense inner loops of conv, GEMM, depthwise conv, fully connected
 // layers, max pooling and pooling fan-out. There is one
-// implementation, the Backend value with six methods: Conv, GEMM,
-// DWConv, Dense, MaxPool and Fan. Conv and GEMM share one kernel
-// (conv.go): per call it packs the weights into blocks of 8 output
+// implementation, the Backend value with seven methods: Conv, GEMM,
+// DWConv, RunPack, Dense, MaxPool and Fan. Conv and GEMM share one
+// kernel (conv.go): it packs the weights into blocks of 8 output
 // channels, and its micro-kernel computes 8 output channels × 4 output
 // pixels from them, reading activations in place from the image,
 // zero-padded once per image, through two offset tables. GEMM is a 1×1
 // conv over B. Depthwise conv computes four planes per pass with
 // hoisted bounds, and dense unrolls 4 output rows.
+//
+// Conv and DWConv pack per call. PackConv and PackDW build the same
+// state once, as a Pack that RunPack runs for any batch with the same
+// code and bits; internal/exec's Plan packs each conv and depthwise
+// conv node this way, so replays pack nothing. A Pack is a snapshot of
+// the weights it was built from: build it after the last write to
+// them.
 //
 // Conv and DWConv take a relu flag, the ReLU epilogue: each sum passes
 // through ReLU (v when v > 0, +0 otherwise, −0 and NaN included) in
@@ -41,24 +48,29 @@
 // whether the CPU fuses in hardware or math.FMA falls back to its
 // software implementation. The GOAMD64 level therefore changes speed,
 // never bits. Built with GOAMD64=v3, which guarantees AVX2 and FMA,
-// math.FMA compiles to a bare VFMADD and two bodies are Go assembly,
+// math.FMA compiles to a bare VFMADD and three bodies are Go assembly,
 // each with the bits of the Go body it replaces:
 //   - convTile (tile_amd64.s): eight YMM accumulators of 4 channels × 1
 //     pixel, whose lanes each run the same ascending-l FMA chain as the
 //     Go body (tile_other.go); the epilogue is VMAXPD(acc, +0).
 //   - depthwise conv (dwconv_amd64.s): the four planes the Go body
-//     groups, in the four lanes of a YMM, read through per-call tables
-//     of lane weights and valid taps. Each lane is the bias, then per
-//     valid tap in ascending (kh, kw) order a VMULPD and a VADDPD,
-//     each rounding once as the Go body's product and sum do, not an
-//     FMA. Skipped taps stay skipped: adding 0·w is not an identity
-//     (−0 + +0 is +0, 0·Inf is NaN). A short last group of planes runs
-//     the Go body.
+//     groups, in the four lanes of a YMM, read through the pack's
+//     tables of lane weights and valid taps. Each lane is the bias,
+//     then per valid tap in ascending (kh, kw) order a VMULPD and a
+//     VADDPD, each rounding once as the Go body's product and sum do,
+//     not an FMA. Skipped taps stay skipped: adding 0·w is not an
+//     identity (−0 + +0 is +0, 0·Inf is NaN). A short last group of
+//     planes runs the Go body.
+//   - max pooling with 2×2 windows at stride 2, every max-pool of the
+//     zoo (maxpool_amd64.s): VMAXPD(v, best) per window element in
+//     row-major order from −Inf, which returns v only when v > best,
+//     four output pixels per vector, then two, then one. Other windows
+//     run the Go body.
 //
-// The amd64.v3 build tag alone selects the bodies. The Go body of
-// depthwise conv compiles at every level, as the reference the tests
-// hold the assembly to; the same bit-for-bit tests run at both levels
-// in CI. Max pooling has one body, in Go, at every level.
+// The amd64.v3 build tag alone selects the bodies. The Go bodies of
+// depthwise conv and max pooling compile at every level, as the
+// reference the tests hold the assembly to; the same bit-for-bit tests
+// and fuzz targets run at both levels in CI.
 package kernels
 
 import (

@@ -234,8 +234,9 @@ func dwBackends(t *testing.T) map[string]Backend {
 
 // checkDWConv holds DWConv to its contract on one problem: the Go body
 // dwconvHoisted must give refDWConv's bits, and every backend's DWConv
-// (the x86-64-v3 body at that level) the Go body's, into NaN-filled
-// outputs; with the ReLU epilogue, ReLU of those bits.
+// (the x86-64-v3 body at that level) and RunPack on the PackDW of the
+// same weights the Go body's, into NaN-filled outputs; with the ReLU
+// epilogue, ReLU of those bits.
 func checkDWConv(t *testing.T, g ConvGeom, batch, channels int, x, w, bias []float64, bes map[string]Backend) {
 	t.Helper()
 	planes := batch * channels
@@ -249,18 +250,27 @@ func checkDWConv(t *testing.T, g ConvGeom, batch, channels int, x, w, bias []flo
 			t.Fatalf("Go body of %s: index %d is %v, want the reference's %v", what, i, body[i], want[i])
 		}
 	}
+	pk := PackDW(g, channels, w, bias)
 	for name, be := range bes {
-		got := nanFilled(len(want))
-		be.DWConv(g, batch, channels, x, w, bias, got, false)
-		for i := range got {
-			if !same(got[i], body[i]) {
-				t.Fatalf("%s %s: index %d is %v (%x), want the Go body's %v (%x)",
-					name, what, i, got[i], math.Float64bits(got[i]), body[i], math.Float64bits(body[i]))
+		for _, run := range []struct {
+			how string
+			f   func(out []float64, relu bool)
+		}{
+			{"", func(out []float64, relu bool) { be.DWConv(g, batch, channels, x, w, bias, out, relu) }},
+			{" from its pack", func(out []float64, relu bool) { be.RunPack(pk, batch, x, out, relu) }},
+		} {
+			got := nanFilled(len(want))
+			run.f(got, false)
+			for i := range got {
+				if !same(got[i], body[i]) {
+					t.Fatalf("%s %s%s: index %d is %v (%x), want the Go body's %v (%x)",
+						name, what, run.how, i, got[i], math.Float64bits(got[i]), body[i], math.Float64bits(body[i]))
+				}
 			}
+			fused := nanFilled(len(want))
+			run.f(fused, true)
+			checkReLU(t, name+" "+what+run.how, fused, body)
 		}
-		fused := nanFilled(len(want))
-		be.DWConv(g, batch, channels, x, w, bias, fused, true)
-		checkReLU(t, name+" "+what, fused, body)
 	}
 }
 
@@ -429,14 +439,15 @@ func TestMaxPoolEdgeWindows(t *testing.T) {
 }
 
 // TestMaxPoolEquivalence sweeps 2×2 stride-2 pooling, every max-pool of
-// the zoo, over maps from 2×2 to 9×9 (odd sizes drop their last row or
-// column) and 1, 5 and 12 planes, then other windows and strides, on
-// inputs that mix in ±0 and subnormals and then on copies with NaN and
-// ±Inf placed in them.
+// the zoo, over maps from 2×2 to 9×15 (odd sizes drop their last row or
+// column; output rows of 1 to 7 pixels run every mix of the v3 body's
+// 4-, 2- and 1-pixel paths) and 1, 5 and 12 planes, then other windows
+// and strides, on inputs that mix in ±0 and subnormals and then on
+// copies with NaN and ±Inf placed in them.
 func TestMaxPoolEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for h := 2; h <= 9; h++ {
-		for w := 2; w <= 9; w++ {
+		for w := 2; w <= 15; w++ {
 			for _, planes := range []int{1, 5, 12} {
 				x := fillEdge(r, planes*h*w)
 				checkMaxPool(t, geom(h, w, 2, 2, 0), planes, x)
@@ -453,17 +464,18 @@ func TestMaxPoolEquivalence(t *testing.T) {
 
 // FuzzMaxPool checks random windows, strides, maps and plane counts as
 // checkMaxPool does, on finite inputs and then on a copy with NaN and
-// ±Inf placed in it: H, W ≤ 12, K ≤ 4, stride ≤ 3, up to 6 planes. Its
+// ±Inf placed in it: H, W ≤ 16, K ≤ 4, stride ≤ 3, up to 6 planes. Its
 // seeds are 2×2 stride-2 windows, the zoo's. In-range arguments are
 // taken as they are; others wrap into range.
 func FuzzMaxPool(f *testing.F) {
-	f.Add(16, 16, 2, 2, 3, int64(1)) // alexnet pool1 (wraps to 4×4)
+	f.Add(16, 16, 2, 2, 3, int64(1)) // alexnet pool1
 	f.Add(8, 8, 2, 2, 2, int64(2))
 	f.Add(4, 4, 2, 2, 6, int64(3))
-	f.Add(2, 2, 2, 2, 5, int64(4)) // vgg's 2×2 → 1×1
-	f.Add(7, 5, 2, 2, 1, int64(5)) // odd sizes
+	f.Add(2, 2, 2, 2, 5, int64(4))  // vgg's 2×2 → 1×1
+	f.Add(7, 5, 2, 2, 1, int64(5))  // odd sizes
+	f.Add(9, 14, 2, 2, 2, int64(6)) // 7-pixel rows: the v3 body's 4-, 2- and 1-pixel paths
 	f.Fuzz(func(t *testing.T, h, w, k, stride, planes int, seed int64) {
-		h, w, k = wrap(h, 1, 12), wrap(w, 1, 12), wrap(k, 1, 4)
+		h, w, k = wrap(h, 1, 16), wrap(w, 1, 16), wrap(k, 1, 4)
 		stride, planes = wrap(stride, 1, 3), wrap(planes, 1, 6)
 		if h < k || w < k {
 			return
@@ -552,24 +564,34 @@ func refConv(g ConvGeom, batch, inC, outC int, x, w, bias, out []float64) {
 
 // checkConv compares every policy's Conv with refConv bit for bit (any
 // NaN matching any NaN), into a NaN-filled output, and the same Conv
-// with the ReLU epilogue with ReLU of refConv's bits.
+// with the ReLU epilogue with ReLU of refConv's bits; then the same for
+// RunPack on the PackConv of the same weights.
 func checkConv(t *testing.T, g ConvGeom, batch, inC, outC int, x, w, bias []float64) {
 	t.Helper()
 	want := make([]float64, batch*outC*g.OH*g.OW)
 	refConv(g, batch, inC, outC, x, w, bias, want)
+	pk := PackConv(g, inC, outC, w, bias)
 	for name, be := range backendsUnderTest(t) {
-		got := nanFilled(len(want)) // every element must be written
-		be.Conv(g, batch, inC, outC, x, w, bias, got, false)
-		for i := range got {
-			if !same(got[i], want[i]) {
-				t.Fatalf("%s Conv %+v batch=%d inC=%d outC=%d (bias %t): index %d is %x, want the FMA chain's %x",
-					name, g, batch, inC, outC, bias != nil, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		for _, run := range []struct {
+			how string
+			f   func(out []float64, relu bool)
+		}{
+			{"", func(out []float64, relu bool) { be.Conv(g, batch, inC, outC, x, w, bias, out, relu) }},
+			{" from its pack", func(out []float64, relu bool) { be.RunPack(pk, batch, x, out, relu) }},
+		} {
+			what := fmt.Sprintf("%s Conv %+v batch=%d inC=%d outC=%d (bias %t)%s", name, g, batch, inC, outC, bias != nil, run.how)
+			got := nanFilled(len(want)) // every element must be written
+			run.f(got, false)
+			for i := range got {
+				if !same(got[i], want[i]) {
+					t.Fatalf("%s: index %d is %x, want the FMA chain's %x",
+						what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
 			}
+			fused := nanFilled(len(want))
+			run.f(fused, true)
+			checkReLU(t, what, fused, want)
 		}
-		fused := nanFilled(len(want))
-		be.Conv(g, batch, inC, outC, x, w, bias, fused, true)
-		checkReLU(t, fmt.Sprintf("%s Conv %+v batch=%d inC=%d outC=%d (bias %t)", name, g, batch, inC, outC, bias != nil),
-			fused, want)
 	}
 }
 
@@ -980,6 +1002,39 @@ func BenchmarkDWConvBackends(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkConvPack times a replay's conv call at batch 8, with the
+// ReLU epilogue, two ways: packing per call (Conv, as a substituted
+// layer or ForwardAll runs) and from a pack built once (RunPack, as
+// exec.Plan runs each node's own layer). The shapes are the zoo's 4×4
+// and 2×2 maps: alexnet conv4 (32 → 32 channels) and nin conv10 (32 →
+// 10), both 3×3 with pad 1.
+func BenchmarkConvPack(b *testing.B) {
+	r := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		name          string
+		hw, inC, outC int
+	}{{"alexnet-conv4", 4, 32, 32}, {"nin-conv10", 2, 32, 10}} {
+		const batch = 8
+		g := geom(tc.hw, tc.hw, 3, 1, 1)
+		x := fill(r, batch*tc.inC*g.H*g.W)
+		w := fill(r, tc.outC*tc.inC*g.K*g.K)
+		bias := fill(r, tc.outC)
+		out := make([]float64, batch*tc.outC*g.OH*g.OW)
+		be := Default()
+		b.Run("per-call-"+tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				be.Conv(g, batch, tc.inC, tc.outC, x, w, bias, out, true)
+			}
+		})
+		pk := PackConv(g, tc.inC, tc.outC, w, bias)
+		b.Run("packed-"+tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				be.RunPack(pk, batch, x, out, true)
+			}
+		})
 	}
 }
 

@@ -67,15 +67,18 @@ func convTile(k int, wp, x []float64, loff, off []int, c []float64, n int, relu 
 	}
 }
 
-// newDWCall prepares a DWConv call. Below x86-64-v3 the Go body runs
-// every plane, so there is nothing to prepare.
-func newDWCall(g ConvGeom, channels int, w, bias []float64, relu bool) dwCall {
-	return dwCall{g: g, channels: channels, w: w, bias: bias, relu: relu}
+// newDWPack prepares DWConv. Below x86-64-v3 the Go body runs every
+// plane from w and bias, so there is nothing to pack.
+func newDWPack(g ConvGeom, channels int, w, bias []float64, _ bool) dwPack {
+	return dwPack{g: g, channels: channels, w: w, bias: bias}
 }
 
 // planes computes planes [p0, p1) with the Go body.
-func (d *dwCall) planes(x, out []float64, p0, p1 int) {
-	dwconvHoisted(d.g, p0, p1, d.channels, x, d.w, d.bias, out, d.relu)
+func (d *dwPack) planes(x, out []float64, p0, p1 int, relu bool) {
+	dwconvHoisted(d.g, p0, p1, d.channels, x, d.w, d.bias, out, relu)
 }
 
-func (d *dwCall) release() {}
+func (d *dwPack) release() {}
+
+// maxPool runs MaxPool's Go body below x86-64-v3.
+func maxPool(g ConvGeom, p0, p1 int, x, out []float64) { maxPoolPlanes(g, p0, p1, x, out) }

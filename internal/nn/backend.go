@@ -20,9 +20,10 @@ type BackendForwarder interface {
 // IntoForwarder; AddNode admits no other layer. out follows the
 // IntoForwarder contract. Every float pass runs its layers through it:
 // internal/exec's pooled passes, ForwardAll, and the float nodes of
-// internal/fxnet's integer datapath. The one exception is a conv or
-// depthwise conv and the ReLU that internal/exec fuses with it, which
-// run as one ForwardReLUOn call.
+// internal/fxnet's integer datapath. The one exception is internal/exec,
+// which runs conv and depthwise conv layers through ForwardPackedOn: a
+// node's own layer from the pack its Plan built, each with the ReLU it
+// fuses.
 func ForwardLayer(be kernels.Backend, l Layer, ins []*tensor.Tensor, out *tensor.Tensor) {
 	if f, ok := l.(BackendForwarder); ok {
 		f.ForwardIntoOn(be, ins, out, nil)
@@ -36,48 +37,73 @@ func convGeom(h, w, k, stride, pad, oh, ow int) kernels.ConvGeom {
 	return kernels.ConvGeom{H: h, W: w, K: k, Stride: stride, Pad: pad, OH: oh, OW: ow}
 }
 
-// ForwardIntoOn implements BackendForwarder: one Backend.Conv call over
-// the batch, so the weights are packed once per layer call.
+// ForwardIntoOn implements BackendForwarder: ForwardPackedOn with no
+// pack and no ReLU, so the weights are packed once per layer call.
 func (c *Conv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	c.forward(be, ins, out, false)
+	c.ForwardPackedOn(be, nil, ins, out, false)
 	return scratch
 }
 
-// ForwardReLUOn writes into out the bits of ForwardIntoOn followed by
-// ReLU.ForwardInto, in one Backend.Conv call with the ReLU epilogue and
-// without the intermediate tensor. out follows the IntoForwarder
-// contract.
-func (c *Conv2D) ForwardReLUOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor) {
-	c.forward(be, ins, out, true)
+// Pack packs c's weights and bias for inputs of per-image shape in
+// ([InC, H, W]) with kernels.PackConv, for ForwardPackedOn. The pack
+// holds a copy: build it after the last write to the weights.
+func (c *Conv2D) Pack(in []int) kernels.Pack {
+	return kernels.PackConv(c.geom(append([]int{1}, in...)), c.InC, c.OutC, c.W.Data, c.B.Data)
 }
 
-func (c *Conv2D) forward(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, relu bool) {
+// ForwardPackedOn computes the conv of ins[0] into out on be, from pk,
+// c's Pack for ins[0]'s per-image shape, or from a pack made for this
+// call when pk is nil (Backend.Conv). With relu set the kernel applies
+// the ReLU epilogue, so out holds the bits of the conv followed by
+// ReLU.ForwardInto without the intermediate tensor. out follows the
+// IntoForwarder contract.
+func (c *Conv2D) ForwardPackedOn(be kernels.Backend, pk kernels.Pack, ins []*tensor.Tensor, out *tensor.Tensor, relu bool) {
 	checkInputs("conv", ins, 1)
 	x := ins[0]
-	os := c.OutShape([][]int{x.Shape})
-	g := convGeom(x.Shape[2], x.Shape[3], c.K, c.Stride, c.Pad, os[2], os[3])
-	be.Conv(g, x.Shape[0], c.InC, c.OutC, x.Data, c.W.Data, c.B.Data, out.Data, relu)
+	if pk == nil {
+		g := c.geom(x.Shape)
+		be.Conv(g, x.Shape[0], c.InC, c.OutC, x.Data, c.W.Data, c.B.Data, out.Data, relu)
+		return
+	}
+	be.RunPack(pk, x.Shape[0], x.Data, out.Data, relu)
 }
 
-// ForwardIntoOn implements BackendForwarder.
+// geom is c's kernel geometry on input shape s ([N, C, H, W]).
+func (c *Conv2D) geom(s []int) kernels.ConvGeom {
+	os := c.OutShape([][]int{s})
+	return convGeom(s[2], s[3], c.K, c.Stride, c.Pad, os[2], os[3])
+}
+
+// ForwardIntoOn implements BackendForwarder: ForwardPackedOn with no
+// pack and no ReLU.
 func (d *DepthwiseConv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	d.forward(be, ins, out, false)
+	d.ForwardPackedOn(be, nil, ins, out, false)
 	return scratch
 }
 
-// ForwardReLUOn is ForwardIntoOn followed by ReLU.ForwardInto in one
-// Backend.DWConv call with the ReLU epilogue, as for Conv2D.
-func (d *DepthwiseConv2D) ForwardReLUOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor) {
-	d.forward(be, ins, out, true)
+// Pack prepares d's weights and bias for inputs of per-image shape in
+// ([C, H, W]) with kernels.PackDW, for ForwardPackedOn. The pack holds
+// a copy: build it after the last write to the weights.
+func (d *DepthwiseConv2D) Pack(in []int) kernels.Pack {
+	return kernels.PackDW(d.geom(append([]int{1}, in...)), d.C, d.W.Data, d.B.Data)
 }
 
-func (d *DepthwiseConv2D) forward(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, relu bool) {
+// ForwardPackedOn is Conv2D's, on Backend.DWConv.
+func (d *DepthwiseConv2D) ForwardPackedOn(be kernels.Backend, pk kernels.Pack, ins []*tensor.Tensor, out *tensor.Tensor, relu bool) {
 	checkInputs("dwconv", ins, 1)
 	x := ins[0]
-	N, H, W := x.Shape[0], x.Shape[2], x.Shape[3]
-	os := d.OutShape([][]int{x.Shape})
-	g := convGeom(H, W, d.K, d.Stride, d.Pad, os[2], os[3])
-	be.DWConv(g, N, d.C, x.Data, d.W.Data, d.B.Data, out.Data, relu)
+	if pk == nil {
+		g := d.geom(x.Shape)
+		be.DWConv(g, x.Shape[0], d.C, x.Data, d.W.Data, d.B.Data, out.Data, relu)
+		return
+	}
+	be.RunPack(pk, x.Shape[0], x.Data, out.Data, relu)
+}
+
+// geom is d's kernel geometry on input shape s ([N, C, H, W]).
+func (d *DepthwiseConv2D) geom(s []int) kernels.ConvGeom {
+	os := d.OutShape([][]int{s})
+	return convGeom(s[2], s[3], d.K, d.Stride, d.Pad, os[2], os[3])
 }
 
 // ForwardIntoOn implements BackendForwarder.

@@ -24,7 +24,7 @@ import (
 // BackendForwarder instead. ReLU is one of these layers, but
 // internal/exec's pooled passes skip its ForwardInto where it is the
 // only consumer of a conv or depthwise conv: the kernel applies the
-// same mask at its store (ForwardReLUOn).
+// same mask at its store (ForwardPackedOn with relu set).
 type IntoForwarder interface {
 	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
 }

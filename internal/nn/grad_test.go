@@ -143,6 +143,28 @@ func TestMaxPoolGradient(t *testing.T) {
 	numericalCheck(t, NewMaxPool2D(2, 2), []*tensor.Tensor{x}, 7)
 }
 
+// TestMaxPoolBackwardWindowWithoutMax: a window with no value above
+// −Inf (all NaN, or all −Inf) has the initial −Inf as its output, which
+// depends on no input, so it passes no gradient; a window with a
+// maximum still routes its gradient to it.
+func TestMaxPoolBackwardWindowWithoutMax(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(-1)
+	x := tensor.FromSlice([]float64{
+		nan, nan, inf, inf, nan, 1,
+		nan, nan, inf, inf, 2, nan,
+	}, 1, 1, 2, 6)
+	p := NewMaxPool2D(2, 2)
+	gradOut := tensor.FromSlice([]float64{1, 2, 3}, 1, 1, 1, 3)
+	dx := p.Backward([]*tensor.Tensor{x}, tensor.New(1, 1, 1, 3), gradOut)[0]
+	want := make([]float64, 12)
+	want[10] = 3 // the third window's maximum, 2
+	for i, w := range want {
+		if dx.Data[i] != w {
+			t.Fatalf("dx[%d] = %v, want %v", i, dx.Data[i], w)
+		}
+	}
+}
+
 func TestAvgPoolGradient(t *testing.T) {
 	r := rng.New(17)
 	numericalCheck(t, NewAvgPool2D(2, 2), []*tensor.Tensor{randTensor(r, 2, 2, 4, 4)}, 8)

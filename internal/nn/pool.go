@@ -38,7 +38,10 @@ func (p *MaxPool2D) OutShape(in [][]int) []int {
 }
 
 // Backward implements Layer, routing each output gradient to the argmax
-// input position (recomputed from ins; ties go to the first maximum).
+// input position (recomputed from ins; ties go to the first maximum). A
+// window with no value above −Inf (all NaN or all −Inf, as after a
+// diverged training step) gets no gradient: its output is the initial
+// −Inf, which depends on no input.
 func (p *MaxPool2D) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
 	x := ins[0]
 	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -60,7 +63,9 @@ func (p *MaxPool2D) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) 
 							}
 						}
 					}
-					dx.Data[argIdx] += gradOut.Data[((n*C+c)*OH+oh)*OW+ow]
+					if argIdx >= 0 {
+						dx.Data[argIdx] += gradOut.Data[((n*C+c)*OH+oh)*OW+ow]
+					}
 				}
 			}
 		}

@@ -2,15 +2,19 @@ package weights
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"mupod/internal/dataset"
 	"mupod/internal/exec"
+	"mupod/internal/fixedpoint"
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/search"
+	"mupod/internal/tensor"
 	"mupod/internal/testnet"
 )
 
@@ -188,6 +192,47 @@ func TestApplyRestore(t *testing.T) {
 	after := accuracy(t, net, te, 100)
 	if before != after {
 		t.Fatal("Apply/restore not idempotent")
+	}
+}
+
+// TestPlanAfterApplyMatchesQuantizedForwardAll: an exec.Plan packs the
+// conv and depthwise conv weights it is built on, so a Plan built after
+// Apply runs the quantized net. Its exact Forward must give the logits
+// of nn.ForwardAll on the quantized net bit for bit, on every testnet
+// zoo fixture (plain convs, a depthwise-separable stack, residual and
+// inception blocks), and a Plan built after restore the original
+// net's.
+func TestPlanAfterApplyMatchesQuantizedForwardAll(t *testing.T) {
+	forward := func(net *nn.Network, x *tensor.Tensor) []float64 {
+		return exec.NewSession(exec.NewPlan(net)).Forward(x, nil).Data
+	}
+	for _, f := range testnet.Zoo() {
+		net, x := f.Net, f.Test.Batch(0, 8)
+		a := &Allocation{}
+		for _, id := range net.AnalyzableNodes() {
+			w, _ := weightTensor(net.Nodes[id].Layer)
+			fm := fixedpoint.Format{IntBits: fixedpoint.IntBitsForRange(w.MaxAbs()), FracBits: 3}
+			a.Layers = append(a.Layers, LayerWeightAlloc{NodeID: id, Format: fm})
+		}
+		exact := net.ForwardAll(x)
+		restore := a.Apply(net)
+		acts := net.ForwardAll(x)
+		got := forward(net, x)
+		restore()
+		quantized := acts[len(acts)-1].Data
+		sameBits(t, f.Name+" quantized", got, quantized)
+		if slices.Equal(quantized, exact[len(exact)-1].Data) {
+			t.Fatalf("%s: quantizing the weights left the logits unchanged", f.Name)
+		}
+		sameBits(t, f.Name+" restored", forward(net, x), exact[len(exact)-1].Data)
+	}
+}
+
+// sameBits fails t unless got and want have the same bits.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("%s: logits %v, want %v", what, got, want)
 	}
 }
 
