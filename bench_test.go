@@ -164,7 +164,7 @@ func BenchmarkSolve(b *testing.B) {
 	for k := range prof.Layers {
 		rho[k] = float64(prof.Layers[k].MACs)
 	}
-	obj, err := optimize.NewBitObjective(prof, 1.0, rho, 0)
+	obj, err := optimize.NewBitObjective(prof.Sources(), 1.0, rho, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package mupod
 // 32, so every probe includes a ragged last batch of 4.
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -59,6 +60,52 @@ func TestNoisePathGolden(t *testing.T) {
 		}
 		return vs
 	}
+	gp, err := groups.Run(net, te, groups.Config{Groups: 3, Profile: pcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp, err := weights.Run(net, te, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The allocators run at σ_YŁ from tight to loose. Some activation
+	// and group Δ_K exceed 1 from σ = 6, some weight Δ_K at σ = 48; the
+	// cases check they still cover one.
+	allocSigmas := []float64{0.05, 0.3, 1.5, 6, 48}
+	above1 := func(name string, deltas []float64) {
+		for _, d := range deltas {
+			if d > 1 {
+				return
+			}
+		}
+		t.Errorf("%s: no Δ above 1; the case no longer covers one", name)
+	}
+	// allocValues hashes ξ, Δ, I and F of every source in order.
+	allocValues := func(vs []float64, xi, delta float64, intBits, fracBits int) []float64 {
+		return append(vs, xi, delta, float64(intBits), float64(fracBits))
+	}
+	joint := func(half int) []float64 {
+		var vs, deltas []float64
+		for _, sigma := range allocSigmas {
+			a, w, err := weights.JointAllocate(prof, wp, sigma, weights.JointConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if half == 0 {
+				for _, la := range a.Layers {
+					vs = allocValues(vs, la.Xi, la.Delta, la.Format.IntBits, la.Format.FracBits)
+					deltas = append(deltas, la.Delta)
+				}
+				continue
+			}
+			for _, lw := range w.Layers {
+				vs = allocValues(vs, lw.Xi, lw.Delta, lw.Format.IntBits, lw.Format.FracBits)
+				deltas = append(deltas, lw.Delta)
+			}
+		}
+		above1([]string{"joint activations", "joint weights"}[half], deltas)
+		return vs
+	}
 
 	cases := []struct {
 		name   string
@@ -75,12 +122,7 @@ func TestNoisePathGolden(t *testing.T) {
 			}
 			return vs
 		}},
-		// groups.Profile keeps only the fit of each group's σ samples.
 		{"groups fit", 0x7bd92e6856841270, func() []float64 {
-			gp, err := groups.Run(net, te, groups.Config{Groups: 3, Profile: pcfg})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var vs []float64
 			for _, g := range gp.Groups {
 				vs = append(vs, g.Lambda, g.Theta, g.R2)
@@ -88,10 +130,6 @@ func TestNoisePathGolden(t *testing.T) {
 			return vs
 		}},
 		{"weights σ", 0xd2f1d20214ba839b, func() []float64 {
-			wp, err := weights.Run(net, te, pcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var vs []float64
 			for _, lp := range wp.Layers {
 				vs = append(vs, lp.Sigmas...)
@@ -120,6 +158,45 @@ func TestNoisePathGolden(t *testing.T) {
 			for _, la := range res.Allocation.Layers {
 				vs = append(vs, la.Xi, la.Delta, float64(la.Format.IntBits), float64(la.Format.FracBits))
 			}
+			return vs
+		}},
+		{"group allocation", 0xa38beac424ddf695, func() []float64 {
+			var vs, deltas []float64
+			for _, sigma := range allocSigmas {
+				a, err := groups.Allocate(gp, sigma, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range a.Groups {
+					vs = allocValues(vs, g.Xi, g.Delta, g.Format.IntBits, g.Format.FracBits)
+					deltas = append(deltas, g.Delta)
+				}
+			}
+			above1("group allocation", deltas)
+			return vs
+		}},
+		{"joint allocation, activations", 0x6d87591338f66576, func() []float64 { return joint(0) }},
+		{"joint allocation, weights", 0x895900b8fa9bf014, func() []float64 { return joint(1) }},
+		// The guard's scaled Δ, at its first shrink and below.
+		{"scaled allocation", 0xf3064a30efe2f182, func() []float64 {
+			var vs, deltas []float64
+			for _, sigma := range allocSigmas {
+				xi, _, err := core.OptimizeXi(context.Background(), prof, sigma, core.Config{Objective: core.MinimizeMACBits})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, scale := range []float64{0.85, 0.5} {
+					a, err := core.FromXiScaled(prof, sigma, xi, "scaled", 0, scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, la := range a.Layers {
+						vs = allocValues(vs, la.Xi, la.Delta, la.Format.IntBits, la.Format.FracBits)
+						deltas = append(deltas, la.Delta)
+					}
+				}
+			}
+			above1("scaled allocation", deltas)
 			return vs
 		}},
 	}

@@ -26,7 +26,6 @@ import (
 	"mupod/internal/core"
 	"mupod/internal/dataset"
 	"mupod/internal/exec"
-	"mupod/internal/fixedpoint"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 )
@@ -180,7 +179,7 @@ func Allocate(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, evalI
 			return nil, fmt.Errorf("bound: no amplification for node %d", lp.NodeID)
 		}
 		delta := margin / (float64(L) * g)
-		f := fixedpoint.Format{IntBits: lp.IntBits, FracBits: fixedpoint.FracBitsForDelta(delta)}
+		f := lp.FormatFor(delta)
 		a.Layers = append(a.Layers, core.LayerAlloc{
 			NodeID: lp.NodeID,
 			Name:   lp.Name,

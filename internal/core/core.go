@@ -62,7 +62,7 @@ type Config struct {
 	Objective Objective
 	// Rho supplies the weights when Objective == CustomRho.
 	Rho []float64
-	// DeltaFloor caps the finest Δ (0 = optimize.DefaultDeltaFloor).
+	// DeltaFloor caps the finest Δ (0 = profile.DefaultDeltaFloor).
 	DeltaFloor float64
 
 	// Guard enables a post-allocation validation loop with REAL
@@ -232,20 +232,13 @@ func FromXiScaled(prof *profile.Profile, sigmaYL float64, xi []float64, objectiv
 	if len(xi) != prof.NumLayers() {
 		return nil, fmt.Errorf("core: ξ has %d entries for %d layers", len(xi), prof.NumLayers())
 	}
-	if deltaFloor <= 0 {
-		deltaFloor = optimize.DefaultDeltaFloor
-	}
 	if deltaScale <= 0 {
 		return nil, fmt.Errorf("core: non-positive delta scale %g", deltaScale)
 	}
 	a := &Allocation{NetName: prof.NetName, Objective: objective, SigmaYL: sigmaYL}
 	for k := range prof.Layers {
 		lp := &prof.Layers[k]
-		delta := lp.DeltaFor(sigmaYL, xi[k]) * deltaScale
-		if delta < deltaFloor {
-			delta = deltaFloor
-		}
-		f := lp.FormatFor(delta)
+		delta, f := lp.Allot(sigmaYL, xi[k], deltaFloor, deltaScale)
 		a.Layers = append(a.Layers, LayerAlloc{
 			NodeID: lp.NodeID,
 			Name:   lp.Name,
@@ -337,7 +330,7 @@ func OptimizeXi(ctx context.Context, prof *profile.Profile, sigmaYL float64, cfg
 	if err != nil {
 		return nil, optimize.Stats{}, err
 	}
-	obj, err := optimize.NewBitObjective(prof, sigmaYL, rho, cfg.DeltaFloor)
+	obj, err := optimize.NewBitObjective(prof.Sources(), sigmaYL, rho, cfg.DeltaFloor)
 	if err != nil {
 		return nil, optimize.Stats{}, err
 	}

@@ -54,26 +54,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// GroupProfile is the fitted model of one channel group.
+// GroupProfile is the noise source at one channel group of a layer's
+// input; its Name is "<layer>#<group>".
 type GroupProfile struct {
-	NodeID int
-	Name   string // "<layer>#<group>"
-	Group  int
+	profile.Source
+	Group int
 	// LoChan/HiChan bound the channel range [LoChan, HiChan) of a 4-D
 	// input; for 2-D (flattened FC) inputs they bound feature indices.
 	LoChan, HiChan int
-
-	Lambda, Theta float64
-	R2            float64
-
-	MaxAbs  float64
-	IntBits int
-	Inputs  int // elements of this group per image
-}
-
-// DeltaFor evaluates Eq. 7 for the group.
-func (g *GroupProfile) DeltaFor(sigmaYL, xi float64) float64 {
-	return g.Lambda*sigmaYL*math.Sqrt(xi) + g.Theta
+	Inputs         int // elements of this group per image
 }
 
 // Profile is the per-network group-granular profiling result.
@@ -84,6 +73,15 @@ type Profile struct {
 
 // NumSources returns the total number of noise sources (Σ_K G_K).
 func (p *Profile) NumSources() int { return len(p.Groups) }
+
+// Sources returns the groups' noise sources in order.
+func (p *Profile) Sources() []*profile.Source {
+	out := make([]*profile.Source, len(p.Groups))
+	for i := range p.Groups {
+		out[i] = &p.Groups[i].Source
+	}
+	return out
+}
 
 // groupRanges calls fn with the bounds [a, b) of the contiguous run of
 // t.Data that channels [lo, hi) of a 4-D tensor (or features [lo, hi)
@@ -165,13 +163,10 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 				return nil, fmt.Errorf("groups: %s#%d: group input is all zeros", nd.Name, gi)
 			}
 			p.Groups = append(p.Groups, GroupProfile{
-				NodeID: nodeID,
-				Name:   fmt.Sprintf("%s#%d", nd.Name, gi),
+				Source: profile.NewSource(nodeID, fmt.Sprintf("%s#%d", nd.Name, gi), maxAbs),
 				Group:  gi,
 				LoChan: lo, HiChan: hi,
-				MaxAbs:  maxAbs,
-				IntBits: fixedpoint.IntBitsForRange(maxAbs),
-				Inputs:  perImage * (hi - lo) / channels,
+				Inputs: perImage * (hi - lo) / channels,
 			})
 			targets = append(targets, pc.Target(nodeID, maxAbs, groupRepeats,
 				pc.Seed^uint64(nodeID)*0x9e3779b97f4a7c15^uint64(gi)<<48,
@@ -186,12 +181,9 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		return nil, fmt.Errorf("groups: %w", err)
 	}
 	for k := range p.Groups {
-		gp := &p.Groups[k]
-		fit, err := profile.Fit(targets[k].Deltas, sigmas[k])
-		if err != nil {
-			return nil, fmt.Errorf("groups: %s: %w", gp.Name, err)
+		if err := p.Groups[k].Fit(targets[k].Deltas, sigmas[k]); err != nil {
+			return nil, fmt.Errorf("groups: %s: %w", p.Groups[k].Name, err)
 		}
-		gp.Lambda, gp.Theta, gp.R2 = fit.Slope, fit.Intercept, fit.R2
 	}
 	return p, nil
 }
@@ -262,18 +254,11 @@ func Allocate(prof *Profile, sigmaYL float64, deltaFloor float64) (*Allocation, 
 	if n == 0 {
 		return nil, fmt.Errorf("groups: empty profile")
 	}
-	// Reuse the layer-level objective machinery through a synthetic
-	// layer profile per group.
-	synth := &profile.Profile{NetName: prof.NetName}
 	rho := make([]float64, n)
 	for i := range prof.Groups {
-		synth.Layers = append(synth.Layers, profile.LayerProfile{
-			Lambda: prof.Groups[i].Lambda,
-			Theta:  prof.Groups[i].Theta,
-		})
 		rho[i] = float64(prof.Groups[i].Inputs)
 	}
-	obj, err := optimize.NewBitObjective(synth, sigmaYL, rho, deltaFloor)
+	obj, err := optimize.NewBitObjective(prof.Sources(), sigmaYL, rho, deltaFloor)
 	if err != nil {
 		return nil, err
 	}
@@ -281,18 +266,10 @@ func Allocate(prof *Profile, sigmaYL float64, deltaFloor float64) (*Allocation, 
 	if err != nil {
 		return nil, err
 	}
-	floor := deltaFloor
-	if floor <= 0 {
-		floor = optimize.DefaultDeltaFloor
-	}
 	a := &Allocation{NetName: prof.NetName, SigmaYL: sigmaYL}
 	for i := range prof.Groups {
 		g := &prof.Groups[i]
-		delta := g.DeltaFor(sigmaYL, xi[i])
-		if delta < floor {
-			delta = floor
-		}
-		f := fixedpoint.Format{IntBits: g.IntBits, FracBits: fixedpoint.FracBitsForDelta(delta)}
+		delta, f := g.Allot(sigmaYL, xi[i], deltaFloor, 1)
 		a.Groups = append(a.Groups, GroupAlloc{
 			GroupProfile: *g,
 			Xi:           xi[i],

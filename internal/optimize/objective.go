@@ -10,55 +10,46 @@ import (
 // ln2 converts natural logs to bits.
 var ln2 = math.Log(2)
 
-// DefaultDeltaFloor is the smallest Δ any source may reach when a
-// caller passes no floor of its own: 2^-20, a 19-bit fraction.
-const DefaultDeltaFloor = 0x1p-20
-
 // BitObjective is Eq. 8 of the paper: F(ξ) = Σ ρ_K·(−log2 Δ_K(ξ_K))
 // with Δ_K(ξ) = λ_K·σ_YŁ·√ξ + θ_K. Build one with NewBitObjective.
 type BitObjective struct {
-	Rho     []float64 // relative importance per layer (#Input or #MAC)
-	A       []float64 // a_K = λ_K·σ_YŁ
-	Theta   []float64
+	Rho     []float64 // relative importance per source (#Input or #MAC)
+	src     []*profile.Source
+	sigma   float64
 	lb      []float64
 	deltaLo float64
 }
 
-// NewBitObjective assembles the objective from a profile, the searched
-// σ_YŁ, and the per-layer importance weights ρ (len == prof layers).
+// NewBitObjective assembles the objective from the noise sources, the
+// searched σ_YŁ, and the per-source importance weights ρ (len ==
+// len(src)).
 //
-// deltaFloor sets the smallest Δ any layer is allowed to reach (> 0);
+// deltaFloor sets the smallest Δ any source is allowed to reach (> 0);
 // the per-coordinate lower bound lb_K is derived from it, which both
 // keeps Δ_K positive when θ_K < 0 and caps the finest representable
-// fraction width. Pass 0 for DefaultDeltaFloor.
-func NewBitObjective(prof *profile.Profile, sigmaYL float64, rho []float64, deltaFloor float64) (*BitObjective, error) {
-	n := prof.NumLayers()
+// fraction width. Pass 0 for profile.DefaultDeltaFloor.
+func NewBitObjective(src []*profile.Source, sigmaYL float64, rho []float64, deltaFloor float64) (*BitObjective, error) {
+	n := len(src)
 	if len(rho) != n {
-		return nil, fmt.Errorf("optimize: %d ρ weights for %d layers", len(rho), n)
+		return nil, fmt.Errorf("optimize: %d ρ weights for %d sources", len(rho), n)
 	}
 	if sigmaYL <= 0 {
 		return nil, fmt.Errorf("optimize: σ_YŁ must be positive, got %g", sigmaYL)
 	}
-	if deltaFloor <= 0 {
-		deltaFloor = DefaultDeltaFloor
-	}
 	o := &BitObjective{
 		Rho:     append([]float64(nil), rho...),
-		A:       make([]float64, n),
-		Theta:   make([]float64, n),
+		src:     src,
+		sigma:   sigmaYL,
 		lb:      make([]float64, n),
-		deltaLo: deltaFloor,
+		deltaLo: profile.DeltaFloor(deltaFloor),
 	}
-	for k := 0; k < n; k++ {
-		lp := &prof.Layers[k]
+	for k, s := range src {
 		if rho[k] < 0 {
-			return nil, fmt.Errorf("optimize: negative ρ for layer %s", lp.Name)
+			return nil, fmt.Errorf("optimize: negative ρ=%g for source %d (%s)", rho[k], k, s.Name)
 		}
-		o.A[k] = lp.Lambda * sigmaYL
-		o.Theta[k] = lp.Theta
-		// Δ(lb) = deltaFloor ⇒ lb = ((deltaFloor−θ)/a)², clamped ≥ εξ.
+		// Δ(lb) = deltaLo ⇒ lb = ((deltaLo−θ)/a)², clamped ≥ εξ.
 		lb := 1e-9
-		if need := (deltaFloor - lp.Theta) / o.A[k]; need > 0 {
+		if need := (o.deltaLo - s.Theta) / (s.Lambda * sigmaYL); need > 0 {
 			if b := need * need; b > lb {
 				lb = b
 			}
@@ -74,14 +65,10 @@ func (o *BitObjective) Dim() int { return len(o.Rho) }
 // LowerBound implements Problem.
 func (o *BitObjective) LowerBound(k int) float64 { return o.lb[k] }
 
-// Delta evaluates Δ_K(ξ) = a_K·√ξ + θ_K, floored at the configured
-// minimum so logs stay finite.
+// Delta evaluates Δ_K(ξ) (Eq. 7), floored at the configured minimum so
+// logs stay finite.
 func (o *BitObjective) Delta(k int, xi float64) float64 {
-	d := o.A[k]*math.Sqrt(xi) + o.Theta[k]
-	if d < o.deltaLo {
-		return o.deltaLo
-	}
-	return d
+	return max(o.src[k].DeltaFor(o.sigma, xi), o.deltaLo)
 }
 
 // Value implements Problem.
@@ -114,7 +101,7 @@ func (o *BitObjective) XiAt(k int, mu float64) float64 {
 	if mu <= 0 {
 		return math.Inf(1)
 	}
-	a, theta := o.A[k], o.Theta[k]
+	a, theta := o.src[k].Lambda*o.sigma, o.src[k].Theta
 	ca := o.Rho[k] / ln2 * a
 	if ca == 0 {
 		return o.lb[k]

@@ -8,22 +8,22 @@ import (
 	"mupod/internal/profile"
 )
 
-// fakeProfile builds a profile with the given λ, θ per layer.
-func fakeProfile(lambda, theta []float64) *profile.Profile {
-	p := &profile.Profile{NetName: "fake"}
+// fakeSources builds noise sources with the given λ, θ.
+func fakeSources(lambda, theta []float64) []*profile.Source {
+	var src []*profile.Source
 	for k := range lambda {
-		p.Layers = append(p.Layers, profile.LayerProfile{
+		src = append(src, &profile.Source{
 			NodeID: k + 1,
 			Name:   "l",
 			Lambda: lambda[k],
 			Theta:  theta[k],
 		})
 	}
-	return p
+	return src
 }
 
 func TestNewBitObjectiveValidation(t *testing.T) {
-	p := fakeProfile([]float64{1, 1}, []float64{0, 0})
+	p := fakeSources([]float64{1, 1}, []float64{0, 0})
 	if _, err := NewBitObjective(p, 1, []float64{1}, 0); err == nil {
 		t.Fatal("no error on ρ length mismatch")
 	}
@@ -39,7 +39,7 @@ func TestNewBitObjectiveValidation(t *testing.T) {
 // objective itself: at an interior ξ_K = XiAt(k, μ) the finite-difference
 // slope of Value along coordinate k is −μ, for either sign of θ.
 func TestBitObjectiveGradientNumerically(t *testing.T) {
-	p := fakeProfile([]float64{2, 0.5, 1}, []float64{0.01, -0.002, 0})
+	p := fakeSources([]float64{2, 0.5, 1}, []float64{0.01, -0.002, 0})
 	o, err := NewBitObjective(p, 0.7, []float64{3, 1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSolverMatchesClosedFormWhenThetaZero(t *testing.T) {
 	lambda := []float64{1.5, 0.3, 2.0, 0.8}
 	theta := []float64{0, 0, 0, 0}
 	rho := []float64{10, 40, 25, 25}
-	p := fakeProfile(lambda, theta)
+	p := fakeSources(lambda, theta)
 	o, err := NewBitObjective(p, 0.5, rho, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestSolverMatchesClosedFormWhenThetaZero(t *testing.T) {
 }
 
 func TestSolverHandlesNegativeTheta(t *testing.T) {
-	p := fakeProfile([]float64{1, 1}, []float64{-0.05, 0.02})
+	p := fakeSources([]float64{1, 1}, []float64{-0.05, 0.02})
 	o, err := NewBitObjective(p, 0.3, []float64{1, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestSolverHandlesNegativeTheta(t *testing.T) {
 func TestHigherRhoGetsHigherXi(t *testing.T) {
 	// The paper's core reallocation: heavier layers (more inputs/MACs)
 	// receive a larger error share → fewer bits.
-	p := fakeProfile([]float64{1, 1, 1}, []float64{0.001, 0.001, 0.001})
+	p := fakeSources([]float64{1, 1, 1}, []float64{0.001, 0.001, 0.001})
 	o, err := NewBitObjective(p, 0.5, []float64{100, 10, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestOptimizedBeatsEqualScheme(t *testing.T) {
 	lambda := []float64{0.36, 0.9, 1.5, 1.1, 2.2}
 	theta := []float64{0.002, 0.01, -0.003, 0.004, 0.0}
 	rho := []float64{154.6, 70, 43.2, 64.9, 64.9} // paper's #Input row
-	p := fakeProfile(lambda, theta)
+	p := fakeSources(lambda, theta)
 	o, err := NewBitObjective(p, 0.32, rho, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestOptimizedBeatsEqualScheme(t *testing.T) {
 // feasible ξ optimal; Solve returns lb plus an equal share of the rest,
 // with every source's Δ above the floor.
 func TestSolveAllZeroRho(t *testing.T) {
-	p := fakeProfile([]float64{1, 0.5, 2}, []float64{-0.3, 0.01, 0})
+	p := fakeSources([]float64{1, 0.5, 2}, []float64{-0.3, 0.01, 0})
 	o, err := NewBitObjective(p, 0.5, []float64{0, 0, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestClosedFormXiDegenerate(t *testing.T) {
 }
 
 func TestDeltaFloorRespected(t *testing.T) {
-	p := fakeProfile([]float64{1}, []float64{-1}) // θ very negative
+	p := fakeSources([]float64{1}, []float64{-1}) // θ very negative
 	floor := 1.0 / 1024
 	o, err := NewBitObjective(p, 1, []float64{1}, floor)
 	if err != nil {

@@ -49,10 +49,10 @@ var ninJoint = []struct{ lambda, theta, rho float64 }{
 // weights (source 18) 14 fraction bits; the optimum needs 13.
 func TestSolveNinJointAtSmallSigma(t *testing.T) {
 	const sigma = 0.034178727978880503
-	p := &profile.Profile{NetName: "nin"}
+	var p []*profile.Source
 	rho := make([]float64, len(ninJoint))
 	for k, r := range ninJoint {
-		p.Layers = append(p.Layers, profile.LayerProfile{Lambda: r.lambda, Theta: r.theta})
+		p = append(p, &profile.Source{Lambda: r.lambda, Theta: r.theta})
 		rho[k] = r.rho
 	}
 	obj, err := optimize.NewBitObjective(p, sigma, rho, 0)
@@ -69,7 +69,7 @@ func TestSolveNinJointAtSmallSigma(t *testing.T) {
 	if err := refcheck.CheckNoDescentMove(obj, xi, 1e-7); err != nil {
 		t.Fatal(err)
 	}
-	delta := max(p.Layers[18].DeltaFor(sigma, xi[18]), optimize.DefaultDeltaFloor)
+	delta := max(p[18].DeltaFor(sigma, xi[18]), profile.DefaultDeltaFloor)
 	if f := fixedpoint.FracBitsForDelta(delta); f != 13 {
 		t.Fatalf("conv7's weights get %d fraction bits at ξ = %.17g, want 13", f, xi[18])
 	}

@@ -144,7 +144,7 @@ func RunNSGA2(ctx context.Context, prof *profile.Profile, sigmaYL float64, cfg N
 	for k := range ones {
 		ones[k] = 1
 	}
-	bitObj, err := optimize.NewBitObjective(prof, sigmaYL, ones, cfg.DeltaFloor)
+	bitObj, err := optimize.NewBitObjective(prof.Sources(), sigmaYL, ones, cfg.DeltaFloor)
 	if err != nil {
 		return nil, fmt.Errorf("pareto: %w", err)
 	}

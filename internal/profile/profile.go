@@ -93,48 +93,16 @@ func (c Config) withDefaults() Config {
 // entry.
 func (c Config) Normalized() Config { return c.withDefaults() }
 
-// LayerProfile holds the fitted error model and the counting metadata
-// of one analyzable layer.
+// LayerProfile is the noise source at one analyzable layer's input,
+// with the layer's counting metadata.
 type LayerProfile struct {
-	NodeID int
-	Name   string
-	Kind   string
-
-	// Lambda and Theta are the Eq. 5 constants; R2 is the regression's
-	// coefficient of determination and MaxRelErr the worst relative
-	// error of predicting Δ from σ over the measured points (the paper
-	// reports <5% typical, ~10% worst case).
-	Lambda, Theta float64
-	R2            float64
-	MaxRelErr     float64
-
-	// Deltas/Sigmas are the raw measurement points (x=σ_{Y_K→Ł},
-	// y=Δ_XK) behind the fit — exactly what Fig. 2 plots.
-	Deltas, Sigmas []float64
-
-	// MaxAbs is max |x| over the layer's profiled inputs; IntBits the
-	// derived signed integer bit count (Sec. II-A).
-	MaxAbs  float64
-	IntBits int
+	Source
+	Kind string
 
 	// Inputs and MACs are the per-image element/operation counts — the
 	// ρ_K candidates of Sec. V-D (#Input and #MAC rows of Table II).
 	Inputs int
 	MACs   int
-}
-
-// DeltaFor evaluates Eq. 7 for this layer: Δ = λ·σ_YŁ·√ξ + θ.
-func (lp *LayerProfile) DeltaFor(sigmaYL, xi float64) float64 {
-	return lp.Lambda*sigmaYL*math.Sqrt(xi) + lp.Theta
-}
-
-// FormatFor converts a tolerated Δ into the layer's complete fixed-
-// point format (integer bits from the profiled range).
-func (lp *LayerProfile) FormatFor(delta float64) fixedpoint.Format {
-	return fixedpoint.Format{
-		IntBits:  lp.IntBits,
-		FracBits: fixedpoint.FracBitsForDelta(delta),
-	}
 }
 
 // Profile is the per-network profiling result.
@@ -180,6 +148,15 @@ func (p *Profile) Reindex() {
 // NumLayers returns Ł, the number of analyzable layers.
 func (p *Profile) NumLayers() int { return len(p.Layers) }
 
+// Sources returns the layers' noise sources in layer order.
+func (p *Profile) Sources() []*Source {
+	out := make([]*Source, len(p.Layers))
+	for k := range p.Layers {
+		out[k] = &p.Layers[k].Source
+	}
+	return out
+}
+
 // UniformInjector returns an nn.Injector adding i.i.d. uniform noise of
 // boundary delta to every (non-zero unless includeZeros) element; a
 // non-positive delta copies the input unchanged.
@@ -203,16 +180,35 @@ func QuantizeInjector(f fixedpoint.Format) nn.Injector {
 	}
 }
 
-// Check reports whether c can profile on ds under ctx: enough images,
-// a live context and a valid kernel policy.
+// Validate reports a setting no profiling run can use, with zero
+// fields at their defaults: a negative image or sample count, fewer
+// than two points for the Eq. 5 line, a Δ sweep that is not
+// 0 < DeltaLoFrac < DeltaHiFrac < ∞, or an invalid kernel policy. It
+// needs no network or data, so a server can reject a job when it is
+// submitted.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case c.Images < 0 || c.TargetSamples < 0:
+		return fmt.Errorf("images %d and target samples %d must not be negative", c.Images, c.TargetSamples)
+	case c.Points < 2:
+		return fmt.Errorf("points %d: the Eq. 5 fit needs at least 2", c.Points)
+	case !(c.DeltaLoFrac > 0 && c.DeltaLoFrac < c.DeltaHiFrac && c.DeltaHiFrac < math.Inf(1)):
+		return fmt.Errorf("Δ sweep [%g, %g] must satisfy 0 < lo < hi < ∞", c.DeltaLoFrac, c.DeltaHiFrac)
+	}
+	return c.Kernel.Validate()
+}
+
+// Check reports whether c can profile on ds under ctx: a valid config
+// (Validate), enough images and a live context.
 func (c Config) Check(ctx context.Context, ds *dataset.Dataset) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
 	if ds.Len() < c.Images {
 		return fmt.Errorf("dataset has %d images, config needs %d", ds.Len(), c.Images)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.Kernel.Validate()
+	return ctx.Err()
 }
 
 // Run profiles every analyzable layer of net over the first cfg.Images
@@ -274,14 +270,10 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		lp := &p.Layers[k]
 		_, lsp := obs.Start(ctx, "profile.layer",
 			obs.KV("layer", lp.Name), obs.KV("repeats", targets[k].Repeats))
-		lp.Deltas, lp.Sigmas = targets[k].Deltas, sigmas[k]
-		fit, err := Fit(lp.Deltas, lp.Sigmas)
-		if err != nil {
+		if err := lp.Fit(targets[k].Deltas, sigmas[k]); err != nil {
 			lsp.End()
 			return nil, fmt.Errorf("profile: layer %s: %w", lp.Name, err)
 		}
-		lp.Lambda, lp.Theta, lp.R2 = fit.Slope, fit.Intercept, fit.R2
-		lp.MaxRelErr = stats.Max(fit.RelativeErrors(lp.Sigmas, lp.Deltas))
 		lsp.SetAttr("lambda", lp.Lambda)
 		lsp.SetAttr("theta", lp.Theta)
 		lsp.SetAttr("r2", lp.R2)
@@ -296,13 +288,10 @@ func prepLayer(net *nn.Network, acts []*tensor.Tensor, nodeID int, cfg Config) (
 	input := acts[nd.Inputs[0]]
 	maxAbs := input.MaxAbs()
 	lp := LayerProfile{
-		NodeID:  nodeID,
-		Name:    nd.Name,
-		Kind:    nd.Layer.Kind(),
-		MaxAbs:  maxAbs,
-		IntBits: fixedpoint.IntBitsForRange(maxAbs),
-		Inputs:  net.InputCount(nodeID),
-		MACs:    net.MACCount(nodeID),
+		Source: NewSource(nodeID, nd.Name, maxAbs),
+		Kind:   nd.Layer.Kind(),
+		Inputs: net.InputCount(nodeID),
+		MACs:   net.MACCount(nodeID),
 	}
 	if maxAbs == 0 {
 		return lp, Target{}, fmt.Errorf("input is all zeros; network is degenerate here")
@@ -421,20 +410,4 @@ func Sweep(ctx context.Context, pool *exec.Pool, acts []*tensor.Tensor, targets 
 		}
 	}
 	return sigmas, nil
-}
-
-// Fit fits Eq. 5 to a target's measured (σ, Δ) points with
-// relative-error weighting (w = 1/Δ²), which balances the log-spaced
-// sweep so the fit is accurate across the whole operating range, not
-// just at the largest Δ. A non-positive λ is an error.
-func Fit(deltas, sigmas []float64) (stats.LinearFit, error) {
-	w := make([]float64, len(deltas))
-	for i, d := range deltas {
-		w[i] = 1 / (d * d)
-	}
-	fit, err := stats.FitLineWeighted(sigmas, deltas, w)
-	if err == nil && fit.Slope <= 0 {
-		err = fmt.Errorf("non-positive λ=%.4g (R²=%.3f): injection did not reach the output", fit.Slope, fit.R2)
-	}
-	return fit, err
 }

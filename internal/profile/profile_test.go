@@ -95,8 +95,38 @@ func TestRunErrorsOnTooFewImages(t *testing.T) {
 	}
 }
 
+// A negative image count used to reach ds.Batch and panic with a
+// slice-bounds error.
+func TestRunRejectsNegativeImages(t *testing.T) {
+	net, _, te := testnet.Trained()
+	_, err := Run(net, te, Config{Images: -5})
+	if err == nil || !strings.Contains(err.Error(), "images -5") {
+		t.Fatalf("err = %v, want a negative-images error", err)
+	}
+}
+
+// A negative DeltaLoFrac used to sweep NaN Δs and return λ = θ = NaN
+// with R² = 1 and no error. Validate refuses the sweep, and Source.Fit
+// refuses a NaN λ from any other path.
+func TestRunRejectsBadDeltaSweep(t *testing.T) {
+	net, _, te := testnet.Trained()
+	for _, c := range []Config{{DeltaLoFrac: -0.01}, {DeltaLoFrac: 0.1, DeltaHiFrac: 0.01}, {Points: 1}} {
+		if _, err := Run(net, te, c); err == nil {
+			t.Errorf("%+v: no error", c)
+		}
+	}
+	var s Source
+	nan := math.NaN()
+	if err := s.Fit([]float64{nan, nan, nan}, []float64{1, 2, 3}); err == nil {
+		t.Fatal("Fit accepted a NaN λ")
+	}
+	if s.Lambda != 0 || s.Deltas != nil {
+		t.Fatalf("a rejected fit was kept: %+v", s)
+	}
+}
+
 func TestDeltaForAndFormatFor(t *testing.T) {
-	lp := LayerProfile{Lambda: 2, Theta: 0.01, IntBits: 3}
+	lp := Source{Lambda: 2, Theta: 0.01, IntBits: 3}
 	d := lp.DeltaFor(0.5, 0.25) // 2·0.5·0.5 + 0.01
 	if math.Abs(d-0.51) > 1e-12 {
 		t.Fatalf("DeltaFor = %v", d)
@@ -111,7 +141,7 @@ func TestDeltaForAndFormatFor(t *testing.T) {
 }
 
 func TestProfileLayerLookup(t *testing.T) {
-	p := &Profile{Layers: []LayerProfile{{NodeID: 3, Name: "x"}}}
+	p := &Profile{Layers: []LayerProfile{{Source: Source{NodeID: 3, Name: "x"}}}}
 	if p.Layer(3) == nil || p.Layer(5) != nil {
 		t.Fatal("Layer lookup broken")
 	}

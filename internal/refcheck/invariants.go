@@ -120,62 +120,62 @@ func sameFloat(a, b float64) bool {
 	return a == b || (a != a && b != b)
 }
 
-// CheckFit verifies one layer's Eq. 5 regression against its raw
-// measurement points: recomputed residuals must match the stored
+// CheckFit verifies one noise source's Eq. 5 regression against its
+// raw measurement points: recomputed residuals must match the stored
 // MaxRelErr, stay under maxRelErr, and the fit must explain the data
 // (R² ≥ minR2). λ must be positive for the noise model to make sense.
-func CheckFit(lp *profile.LayerProfile, minR2, maxRelErr float64) error {
-	if lp.Lambda <= 0 {
-		return fmt.Errorf("layer %s: λ = %g must be positive", lp.Name, lp.Lambda)
+func CheckFit(s *profile.Source, minR2, maxRelErr float64) error {
+	if s.Lambda <= 0 {
+		return fmt.Errorf("source %s: λ = %g must be positive", s.Name, s.Lambda)
 	}
-	if len(lp.Deltas) != len(lp.Sigmas) || len(lp.Deltas) == 0 {
-		return fmt.Errorf("layer %s: %d deltas vs %d sigmas", lp.Name, len(lp.Deltas), len(lp.Sigmas))
+	if len(s.Deltas) != len(s.Sigmas) || len(s.Deltas) == 0 {
+		return fmt.Errorf("source %s: %d deltas vs %d sigmas", s.Name, len(s.Deltas), len(s.Sigmas))
 	}
 	worst := 0.0
-	for i := range lp.Deltas {
-		pred := lp.Lambda*lp.Sigmas[i] + lp.Theta
-		rel := math.Abs(pred - lp.Deltas[i])
-		if lp.Deltas[i] != 0 {
-			rel /= math.Abs(lp.Deltas[i])
+	for i := range s.Deltas {
+		pred := s.Lambda*s.Sigmas[i] + s.Theta
+		rel := math.Abs(pred - s.Deltas[i])
+		if s.Deltas[i] != 0 {
+			rel /= math.Abs(s.Deltas[i])
 		}
 		if rel > worst {
 			worst = rel
 		}
 	}
-	if math.Abs(worst-lp.MaxRelErr) > 1e-9 {
-		return fmt.Errorf("layer %s: stored MaxRelErr %g, recomputed %g", lp.Name, lp.MaxRelErr, worst)
+	if math.Abs(worst-s.MaxRelErr) > 1e-9 {
+		return fmt.Errorf("source %s: stored MaxRelErr %g, recomputed %g", s.Name, s.MaxRelErr, worst)
 	}
 	if worst > maxRelErr {
-		return fmt.Errorf("layer %s: Eq. 5 residual %g exceeds %g", lp.Name, worst, maxRelErr)
+		return fmt.Errorf("source %s: Eq. 5 residual %g exceeds %g", s.Name, worst, maxRelErr)
 	}
-	if lp.R2 < minR2 {
-		return fmt.Errorf("layer %s: R² = %g below %g", lp.Name, lp.R2, minR2)
+	if s.R2 < minR2 {
+		return fmt.Errorf("source %s: R² = %g below %g", s.Name, s.R2, minR2)
 	}
 	return nil
 }
 
 // CheckLayerFormats verifies the Sec. II-A format derivation for one
-// profiled layer at a given (σ_YŁ, ξ): the chosen F is the smallest
-// whose worst-case error fits the layer's Δ budget, and I covers the
-// observed magnitude range.
-func CheckLayerFormats(lp *profile.LayerProfile, sigmaYL, xi float64) error {
-	delta := lp.DeltaFor(sigmaYL, xi)
+// profiled noise source at a given (σ_YŁ, ξ): the chosen F is the
+// smallest whose worst-case error fits the source's Δ budget, and I
+// covers the observed magnitude range.
+func CheckLayerFormats(s *profile.Source, sigmaYL, xi float64) error {
+	delta := s.DeltaFor(sigmaYL, xi)
 	if delta <= 0 {
-		return nil // the allocator skips the layer entirely
+		return nil // the allocator skips the source entirely
 	}
-	f := lp.FormatFor(delta)
+	f := s.FormatFor(delta)
 	if got := fixedpoint.DeltaForFracBits(f.FracBits); got > delta {
-		return fmt.Errorf("layer %s: F=%d gives Δ=%g above budget %g", lp.Name, f.FracBits, got, delta)
+		return fmt.Errorf("source %s: F=%d gives Δ=%g above budget %g", s.Name, f.FracBits, got, delta)
 	}
 	if coarser := fixedpoint.DeltaForFracBits(f.FracBits - 1); coarser <= delta {
-		return fmt.Errorf("layer %s: F=%d wastes a bit (F−1 already fits %g)", lp.Name, f.FracBits, delta)
+		return fmt.Errorf("source %s: F=%d wastes a bit (F−1 already fits %g)", s.Name, f.FracBits, delta)
 	}
-	if f.IntBits != fixedpoint.IntBitsForRange(lp.MaxAbs) {
-		return fmt.Errorf("layer %s: I=%d, IntBitsForRange(%g)=%d", lp.Name, f.IntBits, lp.MaxAbs, fixedpoint.IntBitsForRange(lp.MaxAbs))
+	if f.IntBits != fixedpoint.IntBitsForRange(s.MaxAbs) {
+		return fmt.Errorf("source %s: I=%d, IntBitsForRange(%g)=%d", s.Name, f.IntBits, s.MaxAbs, fixedpoint.IntBitsForRange(s.MaxAbs))
 	}
-	if lp.MaxAbs > 0 {
-		if lim := math.Exp2(float64(f.IntBits - 1)); lp.MaxAbs > lim {
-			return fmt.Errorf("layer %s: max|X| = %g exceeds 2^(I−1) = %g", lp.Name, lp.MaxAbs, lim)
+	if s.MaxAbs > 0 {
+		if lim := math.Exp2(float64(f.IntBits - 1)); s.MaxAbs > lim {
+			return fmt.Errorf("source %s: max|X| = %g exceeds 2^(I−1) = %g", s.Name, s.MaxAbs, lim)
 		}
 	}
 	return nil

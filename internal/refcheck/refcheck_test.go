@@ -197,8 +197,8 @@ func TestGridSolveAgainstClosedForm(t *testing.T) {
 // scaled by Σ|terms|, holds several ulps. The checks pass on the
 // solver's ξ and still refuse a point off the optimum.
 func TestAllowanceScalesWithCancellingTerms(t *testing.T) {
-	prof := &profile.Profile{Layers: []profile.LayerProfile{{Lambda: 1}, {Lambda: 1.0 / 64}}}
-	obj, err := optimize.NewBitObjective(prof, 4, []float64{1000, 358.597}, 0)
+	src := []*profile.Source{{Lambda: 1}, {Lambda: 1.0 / 64}}
+	obj, err := optimize.NewBitObjective(src, 4, []float64{1000, 358.597}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

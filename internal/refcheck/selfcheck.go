@@ -14,6 +14,7 @@ import (
 	"mupod/internal/search"
 	"mupod/internal/tensor"
 	"mupod/internal/testnet"
+	"mupod/internal/weights"
 )
 
 // Options configures a self-check sweep.
@@ -222,7 +223,8 @@ func (s *runState) checkKernelBackends(f testnet.Fixture) {
 // checkPipeline profiles, searches and solves one fixture, verifying
 // the Eq. 5 fit, the format derivation, the search bracketing, the
 // Eq. 6 simplex budget, the first-order Eq. 8 oracle and — when the
-// layer count permits — the brute-force Eq. 8 oracle.
+// layer count permits — the brute-force Eq. 8 oracle, then the weight
+// path (checkWeights) and the Pareto engine (checkPareto).
 func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 	prof, err := profile.RunContext(ctx, f.Net, f.Test, profile.Config{
 		Images: 16, Points: 8, Seed: 11, Workers: s.opts.Workers, Kernel: s.opts.Kernel,
@@ -235,7 +237,7 @@ func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 	for i := range prof.Layers {
 		// Bounds follow the paper's Fig. 2 discussion (<5% typical,
 		// ~10% worst) with slack for the tiny 8×8 fixtures.
-		if e := CheckFit(&prof.Layers[i], 0.9, 0.25); e != nil && fitErr == nil {
+		if e := CheckFit(&prof.Layers[i].Source, 0.9, 0.25); e != nil && fitErr == nil {
 			fitErr = e
 		}
 	}
@@ -254,7 +256,7 @@ func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 
 	var fmtErr error
 	for i := range prof.Layers {
-		if e := CheckLayerFormats(&prof.Layers[i], res.SigmaYL, 1/float64(prof.NumLayers())); e != nil && fmtErr == nil {
+		if e := CheckLayerFormats(&prof.Layers[i].Source, res.SigmaYL, 1/float64(prof.NumLayers())); e != nil && fmtErr == nil {
 			fmtErr = e
 		}
 	}
@@ -264,7 +266,7 @@ func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 	for k := range rho {
 		rho[k] = float64(prof.Layers[k].MACs)
 	}
-	obj, err := optimize.NewBitObjective(prof, res.SigmaYL, rho, 0)
+	obj, err := optimize.NewBitObjective(prof.Sources(), res.SigmaYL, rho, 0)
 	if err != nil {
 		s.add(f.Name, "allocation solve", err)
 		return
@@ -280,7 +282,53 @@ func (s *runState) checkPipeline(ctx context.Context, f testnet.Fixture) {
 		s.add(f.Name, "eq8 grid oracle", CheckSolverBeatsGrid(obj, xi, s.opts.GridSteps, Allowance(obj, xi)))
 	}
 
+	s.checkWeights(ctx, f, prof, res.SigmaYL)
 	s.checkPareto(ctx, f, prof, res.SigmaYL)
+}
+
+// checkWeights profiles one fixture's weights and checks the weight
+// path at the searched σ_YŁ: the Eq. 5 fit and the format derivation of
+// every weight source, and the Eq. 6 budget and first-order Eq. 8
+// optimality of the joint 2Ł allocation. The oracle rebuilds ρ from the
+// profiles (#Input for activations, #Params for weights), so a joint
+// solve of the wrong objective fails too.
+func (s *runState) checkWeights(ctx context.Context, f testnet.Fixture, prof *profile.Profile, sigmaYL float64) {
+	wprof, err := weights.RunContext(ctx, f.Net, f.Test, profile.Config{
+		Images: 16, Points: 8, Seed: 11, Workers: s.opts.Workers, Kernel: s.opts.Kernel,
+	})
+	s.add(f.Name, "weights profile", err)
+	if err != nil {
+		return
+	}
+	act, w, err := weights.JointAllocate(prof, wprof, sigmaYL, weights.JointConfig{})
+	s.add(f.Name, "joint allocation", err)
+	if err != nil {
+		return
+	}
+	L := prof.NumLayers()
+	rho := make([]float64, 2*L)
+	xi := make([]float64, 2*L)
+	var fitErr, fmtErr error
+	for k := range wprof.Layers {
+		src := &wprof.Layers[k].Source
+		if e := CheckFit(src, 0.9, 0.25); e != nil && fitErr == nil {
+			fitErr = e
+		}
+		if e := CheckLayerFormats(src, sigmaYL, w.Layers[k].Xi); e != nil && fmtErr == nil {
+			fmtErr = e
+		}
+		rho[k], rho[L+k] = float64(prof.Layers[k].Inputs), float64(wprof.Layers[k].Params)
+		xi[k], xi[L+k] = act.Layers[k].Xi, w.Layers[k].Xi
+	}
+	s.add(f.Name, "weights eq5 fit residuals", fitErr)
+	s.add(f.Name, "weights format derivation", fmtErr)
+	obj, err := optimize.NewBitObjective(append(prof.Sources(), wprof.Sources()...), sigmaYL, rho, 0)
+	if err != nil {
+		s.add(f.Name, "joint eq6 simplex budget", err)
+		return
+	}
+	s.add(f.Name, "joint eq6 simplex budget", CheckSimplex(xi, obj.LowerBound))
+	s.add(f.Name, "joint eq8 first-order oracle", CheckNoDescentMove(obj, xi, oracleEps))
 }
 
 // checkPareto runs the Pareto-engine differentials on one fixture: the
@@ -332,7 +380,7 @@ func checkSweepOptimal(prof *profile.Profile, sigmaYL float64, sweep []pareto.Po
 			rho[k] = (1-pt.Alpha)*float64(lp.Inputs)/inSum + pt.Alpha*float64(lp.MACs)/macSum
 			xi[k] = pt.Allocation.Layers[k].Xi
 		}
-		obj, err := optimize.NewBitObjective(prof, sigmaYL, rho, 0)
+		obj, err := optimize.NewBitObjective(prof.Sources(), sigmaYL, rho, 0)
 		if err == nil {
 			err = CheckNoDescentMove(obj, xi, oracleEps)
 		}

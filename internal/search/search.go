@@ -106,6 +106,26 @@ func (o Options) withDefaults(ds *dataset.Dataset) Options {
 	return o
 }
 
+// Validate reports a setting no search can use: an unknown scheme, a
+// negative count, a Tol or InitUpper that is negative or not finite
+// (zero picks the default), or an invalid kernel policy. It needs no
+// network or data, so a server can reject a job when it is submitted.
+// The accuracy constraint RelDrop is checked by RunContext
+// (ErrZeroConstraint).
+func (o Options) Validate() error {
+	switch {
+	case o.Scheme < 0 || o.Scheme > Scheme2Gaussian:
+		return fmt.Errorf("unknown scheme %d (want 1 or 2)", int(o.Scheme))
+	case o.EvalImages < 0 || o.Repeats < 0 || o.BatchSize < 0:
+		return fmt.Errorf("eval images %d, repeats %d and batch size %d must not be negative", o.EvalImages, o.Repeats, o.BatchSize)
+	case !(o.Tol >= 0 && o.Tol < math.Inf(1)):
+		return fmt.Errorf("tolerance %g must be a finite non-negative number", o.Tol)
+	case !(o.InitUpper >= 0 && o.InitUpper < math.Inf(1)):
+		return fmt.Errorf("initial upper bound %g must be a finite non-negative number", o.InitUpper)
+	}
+	return o.Kernel.Validate()
+}
+
 // Sentinel errors for the three ways the Sec. V-C constraint can be
 // ill-posed. Callers branch with errors.Is; the wrapped messages carry
 // the concrete numbers.
@@ -143,25 +163,20 @@ type Probe struct {
 }
 
 // Scheme1Plan builds the equal-scheme injection plan for a given σ_YŁ:
-// ξ_K = 1/Ł for every layer, Δ_XK from Eq. 7. Non-positive Δ (possible
-// when θ_K < 0 at tiny budgets) injects nothing.
+// XiPlan with ξ_K = 1/Ł for every layer.
 func Scheme1Plan(prof *profile.Profile, sigmaYL float64, r *rng.RNG) map[int]nn.Injector {
-	xi := 1 / float64(prof.NumLayers())
-	plan := make(map[int]nn.Injector, prof.NumLayers())
-	for i := range prof.Layers {
-		lp := &prof.Layers[i]
-		delta := lp.DeltaFor(sigmaYL, xi)
-		if delta <= 0 {
-			continue
-		}
-		plan[lp.NodeID] = profile.UniformInjector(r.Split(), delta, false)
+	xi := make([]float64, prof.NumLayers())
+	for k := range xi {
+		xi[k] = 1 / float64(len(xi))
 	}
-	return plan
+	return XiPlan(prof, sigmaYL, xi, r)
 }
 
 // XiPlan builds an injection plan for an arbitrary ξ assignment
-// (indexed like prof.Layers). Used by the Fig. 3 corner-case study and
-// by allocation validation.
+// (indexed like prof.Layers): Δ_XK from Eq. 7, one noise stream split
+// from r per injected layer in layer order. Non-positive Δ (possible
+// when θ_K < 0 at tiny budgets) injects nothing. Used by Scheme 1, the
+// Fig. 3 corner-case study and allocation validation.
 func XiPlan(prof *profile.Profile, sigmaYL float64, xi []float64, r *rng.RNG) map[int]nn.Injector {
 	if len(xi) != prof.NumLayers() {
 		panic(fmt.Sprintf("search: ξ has %d entries for %d layers", len(xi), prof.NumLayers()))
@@ -290,6 +305,9 @@ func Run(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, opts Optio
 // accuracy evaluation, so a long binary search aborts promptly when the
 // caller cancels (the serving daemon relies on this).
 func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("search: %w", err)
+	}
 	opts = opts.withDefaults(ds)
 	if opts.RelDrop <= 0 {
 		return nil, fmt.Errorf("%w: RelDrop=%g", ErrZeroConstraint, opts.RelDrop)
@@ -352,9 +370,14 @@ func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds 
 			return nil, fmt.Errorf("%w: accuracy never violated up to σ=%g", ErrVacuous, hi)
 		}
 	}
-	// Standard binary search on the real line.
+	// Standard binary search on the real line. It also stops once lo
+	// and hi are adjacent floats, which a Tol below their spacing never
+	// reaches.
 	for hi-lo > opts.Tol {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
 		pass, err := probe(mid)
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"mupod/internal/exec"
 	"mupod/internal/kernels"
@@ -184,6 +185,26 @@ func TestRunRejectsNonPositiveRelDrop(t *testing.T) {
 	}
 }
 
+// A negative Tol used to bisect until the caller's context ended. A Tol
+// below the spacing of floats near σ_YŁ must stop too, once the bracket's
+// ends are adjacent.
+func TestRunRejectsNegativeTol(t *testing.T) {
+	net, _, te := testnet.Trained()
+	prof := sharedProfile(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := RunContext(ctx, net, prof, te, Options{RelDrop: 0.05, Tol: -1}); err == nil || ctx.Err() != nil {
+		t.Fatalf("Tol -1: err = %v, ctx %v; want a validation error", err, ctx.Err())
+	}
+	res, err := RunContext(ctx, net, prof, te, Options{Scheme: Scheme2Gaussian, RelDrop: 0.05, EvalImages: 80, Seed: 2, Tol: 1e-300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Trace); n > 1100 {
+		t.Fatalf("Tol 1e-300 ran %d probes", n)
+	}
+}
+
 // An effectively-zero accuracy budget must surface ErrUnattainable, not
 // the silent σ=0 endpoint. InitUpper == Tol makes the search terminate
 // after the single (failing) upper-bound probe, so lo is still 0.
@@ -219,8 +240,8 @@ func TestRunVacuousConstraint(t *testing.T) {
 
 func TestScheme1PlanSkipsNonPositiveDelta(t *testing.T) {
 	p := &profile.Profile{Layers: []profile.LayerProfile{
-		{NodeID: 1, Lambda: 1, Theta: 0},
-		{NodeID: 2, Lambda: 0.001, Theta: -1}, // Δ < 0 at small σ
+		{Source: profile.Source{NodeID: 1, Lambda: 1, Theta: 0}},
+		{Source: profile.Source{NodeID: 2, Lambda: 0.001, Theta: -1}}, // Δ < 0 at small σ
 	}}
 	plan := Scheme1Plan(p, 0.1, rng.New(1))
 	if _, ok := plan[1]; !ok {
@@ -232,7 +253,7 @@ func TestScheme1PlanSkipsNonPositiveDelta(t *testing.T) {
 }
 
 func TestXiPlanValidatesLength(t *testing.T) {
-	p := &profile.Profile{Layers: []profile.LayerProfile{{NodeID: 1, Lambda: 1}}}
+	p := &profile.Profile{Layers: []profile.LayerProfile{{Source: profile.Source{NodeID: 1, Lambda: 1}}}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on ξ length mismatch")

@@ -15,12 +15,14 @@ import (
 func fakeProfile(name string, points int) *profile.Profile {
 	mk := func(id int) profile.LayerProfile {
 		return profile.LayerProfile{
-			NodeID: id,
-			Name:   fmt.Sprintf("%s/l%d", name, id),
-			Kind:   "conv",
-			Lambda: 1,
-			Deltas: make([]float64, points),
-			Sigmas: make([]float64, points),
+			Source: profile.Source{
+				NodeID: id,
+				Name:   fmt.Sprintf("%s/l%d", name, id),
+				Lambda: 1,
+				Deltas: make([]float64, points),
+				Sigmas: make([]float64, points),
+			},
+			Kind: "conv",
 		}
 	}
 	return &profile.Profile{NetName: name, Layers: []profile.LayerProfile{mk(1), mk(2)}}

@@ -106,7 +106,8 @@ func (r *JobRequest) TenantName() string {
 	return r.Tenant
 }
 
-// Validate checks the request without resolving the network.
+// Validate checks the request without resolving the network, so a
+// setting no stage can use is a 400 at submit, not a failed job.
 func (r *JobRequest) Validate() error {
 	if err := ValidTenant(r.Tenant); err != nil {
 		return err
@@ -122,12 +123,13 @@ func (r *JobRequest) Validate() error {
 			return err
 		}
 	}
-	for _, p := range []kernels.Policy{r.kernelPolicy(), r.Profile.Kernel, r.Search.Kernel} {
-		if err := p.Validate(); err != nil {
-			return err
-		}
+	if err := r.Profile.Validate(); err != nil {
+		return fmt.Errorf("profile: %w", err)
 	}
-	return nil
+	if err := r.Search.Validate(); err != nil {
+		return fmt.Errorf("search: %w", err)
+	}
+	return r.kernelPolicy().Validate()
 }
 
 // kernelPolicy bundles the request's job-level kernel knobs.

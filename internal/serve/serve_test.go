@@ -314,6 +314,38 @@ func TestSubmitRejectsRemovedKernel(t *testing.T) {
 	}
 }
 
+// Settings no stage can use are refused at submit. They used to be
+// accepted: images -5 panicked inside profiling (and counted against the
+// profile breaker), a negative deltalofrac cached a NaN profile, and a
+// negative tol bisected until the stage timeout.
+func TestSubmitRejectsOutOfRangeSettings(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+	for body, want := range map[string]string{
+		`{"model":"testnet","profile":{"images":-5}}`:            "images -5",
+		`{"model":"testnet","profile":{"deltalofrac":-0.01}}`:    "Δ sweep",
+		`{"model":"testnet","search":{"reldrop":0.05,"tol":-1}}`: "tolerance -1",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, want) {
+			t.Errorf("POST /v1/jobs %s: status %d, error %q; want 400 naming %q", body, resp.StatusCode, e.Error, want)
+		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Fatalf("%d jobs admitted", len(jobs))
+	}
+}
+
 func TestProfileKeyNormalization(t *testing.T) {
 	net, _, te := testnet.Trained()
 	zero := profile.Config{}

@@ -17,7 +17,6 @@ package weights
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"mupod/internal/core"
 	"mupod/internal/dataset"
@@ -28,31 +27,16 @@ import (
 	"mupod/internal/optimize"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
-	"mupod/internal/stats"
 	"mupod/internal/tensor"
 )
 
-// LayerWeightProfile is the fitted weight-noise model of one layer.
+// LayerWeightProfile is the noise source at one layer's weights. Its
+// MaxAbs is max |w|; Params is the number of weight scalars (the
+// storage ρ).
 type LayerWeightProfile struct {
-	NodeID int
-	Name   string
-
-	Lambda, Theta  float64
-	R2             float64
-	MaxRelErr      float64
-	Deltas, Sigmas []float64
-
-	// MaxAbs is max |w| (sets the integer bits of the weight format);
-	// Params is the number of weight scalars (the storage ρ).
-	MaxAbs  float64
-	IntBits int
-	Params  int
-	MACs    int
-}
-
-// DeltaFor evaluates Δ_WK = λw·σ·√ξ + θw.
-func (lp *LayerWeightProfile) DeltaFor(sigmaYL, xi float64) float64 {
-	return lp.Lambda*sigmaYL*math.Sqrt(xi) + lp.Theta
+	profile.Source
+	Params int
+	MACs   int
 }
 
 // Profile holds the weight-noise model of every analyzable layer.
@@ -63,6 +47,15 @@ type Profile struct {
 
 // NumLayers returns Ł.
 func (p *Profile) NumLayers() int { return len(p.Layers) }
+
+// Sources returns the layers' weight-noise sources in layer order.
+func (p *Profile) Sources() []*profile.Source {
+	out := make([]*profile.Source, len(p.Layers))
+	for k := range p.Layers {
+		out[k] = &p.Layers[k].Source
+	}
+	return out
+}
 
 // weightTensor returns the weight tensor of a dot-product layer and a
 // constructor of the layer's shallow copy holding other weights (nil
@@ -124,12 +117,9 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 			return nil, fmt.Errorf("weights: layer %s: weights are all zero", nd.Name)
 		}
 		p.Layers = append(p.Layers, LayerWeightProfile{
-			NodeID:  nodeID,
-			Name:    nd.Name,
-			MaxAbs:  maxAbs,
-			IntBits: fixedpoint.IntBitsForRange(maxAbs),
-			Params:  w.Len(),
-			MACs:    net.MACCount(nodeID),
+			Source: profile.NewSource(nodeID, nd.Name, maxAbs),
+			Params: w.Len(),
+			MACs:   net.MACCount(nodeID),
 		})
 		targets = append(targets, cfg.Target(nodeID, maxAbs, repeats, cfg.Seed^uint64(nodeID)*0xb5297a4d^0x77,
 			func(worker int, r *rng.RNG, delta float64) (nn.Layer, nn.Injector) {
@@ -147,14 +137,9 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		return nil, fmt.Errorf("weights: %w", err)
 	}
 	for k := range p.Layers {
-		lp := &p.Layers[k]
-		lp.Deltas, lp.Sigmas = targets[k].Deltas, sigmas[k]
-		fit, err := profile.Fit(lp.Deltas, lp.Sigmas)
-		if err != nil {
-			return nil, fmt.Errorf("weights: layer %s: %w", lp.Name, err)
+		if err := p.Layers[k].Fit(targets[k].Deltas, sigmas[k]); err != nil {
+			return nil, fmt.Errorf("weights: layer %s: %w", p.Layers[k].Name, err)
 		}
-		lp.Lambda, lp.Theta, lp.R2 = fit.Slope, fit.Intercept, fit.R2
-		lp.MaxRelErr = stats.Max(fit.RelativeErrors(lp.Sigmas, lp.Deltas))
 	}
 	return p, nil
 }
@@ -251,46 +236,27 @@ func JointAllocate(aprof *profile.Profile, wprof *Profile, sigmaYL float64, cfg 
 	if wprof.NumLayers() != L {
 		return nil, nil, fmt.Errorf("weights: %d activation layers vs %d weight layers", L, wprof.NumLayers())
 	}
-	actRho := cfg.ActRho
-	if actRho == nil {
-		actRho = make([]float64, L)
+	if (cfg.ActRho != nil && len(cfg.ActRho) != L) || (cfg.WeightRho != nil && len(cfg.WeightRho) != L) {
+		return nil, nil, fmt.Errorf("weights: ρ lengths %d/%d for %d layers", len(cfg.ActRho), len(cfg.WeightRho), L)
+	}
+	// The first Ł sources are activations, the last Ł weights.
+	rho := append(make([]float64, 0, 2*L), cfg.ActRho...)
+	if cfg.ActRho == nil {
 		for k := range aprof.Layers {
-			actRho[k] = float64(aprof.Layers[k].Inputs)
+			rho = append(rho, float64(aprof.Layers[k].Inputs))
 		}
 	}
-	weightRho := cfg.WeightRho
-	if weightRho == nil {
-		weightRho = make([]float64, L)
+	rho = append(rho, cfg.WeightRho...)
+	if cfg.WeightRho == nil {
 		for k := range wprof.Layers {
-			weightRho[k] = float64(wprof.Layers[k].Params)
+			rho = append(rho, float64(wprof.Layers[k].Params))
 		}
 	}
-	if len(actRho) != L || len(weightRho) != L {
-		return nil, nil, fmt.Errorf("weights: ρ lengths %d/%d for %d layers", len(actRho), len(weightRho), L)
+	obj, err := optimize.NewBitObjective(append(aprof.Sources(), wprof.Sources()...), sigmaYL, rho, cfg.DeltaFloor)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// Assemble the 2Ł-dimensional problem as a synthetic profile: the
-	// first Ł coordinates are activations, the last Ł are weights.
-	joint := &profile.Profile{NetName: aprof.NetName}
-	rho := make([]float64, 0, 2*L)
-	for k := range aprof.Layers {
-		joint.Layers = append(joint.Layers, profile.LayerProfile{
-			Lambda: aprof.Layers[k].Lambda,
-			Theta:  aprof.Layers[k].Theta,
-		})
-		rho = append(rho, actRho[k])
-	}
-	for k := range wprof.Layers {
-		joint.Layers = append(joint.Layers, profile.LayerProfile{
-			Lambda: wprof.Layers[k].Lambda,
-			Theta:  wprof.Layers[k].Theta,
-		})
-		rho = append(rho, weightRho[k])
-	}
-
-	xi, _, err := core.OptimizeXi(context.Background(), joint, sigmaYL, core.Config{
-		Objective: core.CustomRho, Rho: rho, DeltaFloor: cfg.DeltaFloor,
-	})
+	xi, _, err := optimize.Solve(context.Background(), obj)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -299,21 +265,10 @@ func JointAllocate(aprof *profile.Profile, wprof *Profile, sigmaYL float64, cfg 
 	if err != nil {
 		return nil, nil, err
 	}
-	// Activation ξ from the joint solve must be written back (FromXi
-	// recomputes Δ from the activation profile with the joint ξ shares,
-	// which is exactly what we want).
 	wAlloc := &Allocation{NetName: wprof.NetName, SigmaYL: sigmaYL}
-	floor := cfg.DeltaFloor
-	if floor <= 0 {
-		floor = optimize.DefaultDeltaFloor
-	}
 	for k := range wprof.Layers {
 		lp := &wprof.Layers[k]
-		delta := lp.DeltaFor(sigmaYL, xi[L+k])
-		if delta < floor {
-			delta = floor
-		}
-		f := fixedpoint.Format{IntBits: lp.IntBits, FracBits: fixedpoint.FracBitsForDelta(delta)}
+		delta, f := lp.Allot(sigmaYL, xi[L+k], cfg.DeltaFloor, 1)
 		wAlloc.Layers = append(wAlloc.Layers, LayerWeightAlloc{
 			NodeID: lp.NodeID,
 			Name:   lp.Name,

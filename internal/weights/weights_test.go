@@ -2,8 +2,10 @@ package weights
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -244,6 +246,20 @@ func TestJointAllocateValidation(t *testing.T) {
 	}
 	if _, _, err := JointAllocate(ap, wp, 0.5, JointConfig{ActRho: []float64{1}}); err == nil {
 		t.Fatal("no error on ρ length mismatch")
+	}
+}
+
+// The joint problem's sources carry their names, so a solver error
+// names the offending source and gives its index among the 2Ł.
+func TestJointAllocateErrorNamesSource(t *testing.T) {
+	ap, wp := fixtures(t)
+	L := wp.NumLayers()
+	rho := make([]float64, L)
+	rho[1] = -1
+	_, _, err := JointAllocate(ap, wp, 0.5, JointConfig{WeightRho: rho})
+	want := fmt.Sprintf("source %d (%s)", L+1, wp.Layers[1].Name)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name %q", err, want)
 	}
 }
 
